@@ -57,31 +57,21 @@ struct CoreConfig {
 
   // Simulation-speed machinery (docs/performance.md). Neither knob is
   // architecturally visible: fast and slow stepping produce byte-identical
-  // machine state, enforced by `msim replay --compare --b-no-fast-step` and
-  // the mfuzz "faststep" oracle.
+  // machine state, enforced by `msim replay --b-no-fast-step` and the mfuzz
+  // "faststep" oracle.
   //
   // Predecode cache entries (0 disables; rounded up to a power of two).
   // Entries are serialized in snapshots, so the count participates in the
   // snapshot config hash (snap/snapshot.h).
   uint32_t predecode_entries = 4096;
-  // Batched hot-path stepping in Core::Run: straight-line non-Metal code is
-  // stepped without per-cycle device polling or latch shuffling. Cycle-exact
-  // by construction; Core::StepCycle is the per-cycle reference either way.
+  // Hot-path stepping in Core::Run: non-Metal DRAM code runs as chained
+  // superblock traces (cpu/superblock.h) executed by a threaded-code inner
+  // loop, without per-cycle device polling or latch shuffling. Off, every
+  // cycle goes through Core::StepCycle, the per-cycle reference. fast_step
+  // does not join the snapshot config hash: trace state travels in a
+  // separate "superblocks" snapshot section, and snapshots stay portable
+  // across stepping modes.
   bool fast_step = true;
-  // Superblock translation tier on top of the fast-step window
-  // (cpu/superblock.h): straight-line decoded runs are chained into trace
-  // objects executed by a threaded-code inner loop, byte-exact like the
-  // tiers below it (enforced by `msim replay --b-no-superblocks` and the
-  // mfuzz "superblock" oracle). Like fast_step, neither knob joins the
-  // snapshot config hash: trace state travels in a separate "superblocks"
-  // snapshot section, and snapshots stay portable across stepping modes.
-  bool superblocks = true;
-  // Maximum executable instructions per superblock trace segment.
-  uint32_t superblock_max_len = 64;
-  // Maximum tree segments grown past strongly biased conditional branches,
-  // per trace (0 disables trace-tree formation). Excluded from the snapshot
-  // config hash like the other superblock knobs.
-  uint32_t superblock_max_trees = 8;
 
   // Safety net for runaway simulations in tests.
   uint64_t default_max_cycles = 50'000'000;

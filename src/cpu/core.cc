@@ -9,58 +9,6 @@
 namespace msim {
 namespace {
 
-// True if the decoded instruction reads GPR `reg` (load-use hazard check).
-bool UsesReg(const Decoded& d, uint8_t reg) {
-  if (reg == 0) {
-    return false;
-  }
-  switch (d.kind) {
-    // No GPR sources.
-    case InstrKind::kLui:
-    case InstrKind::kAuipc:
-    case InstrKind::kJal:
-    case InstrKind::kEcall:
-    case InstrKind::kEbreak:
-    case InstrKind::kFence:
-    case InstrKind::kMenter:
-    case InstrKind::kMexit:
-    case InstrKind::kRmr:
-    case InstrKind::kRcr:
-    case InstrKind::kMopr:
-      return false;
-    // rs1 only.
-    case InstrKind::kJalr:
-    case InstrKind::kWmr:
-    case InstrKind::kWcr:
-    case InstrKind::kMopw:
-    case InstrKind::kTlbinv:
-    case InstrKind::kTlbflush:
-    case InstrKind::kTlbrd:
-    case InstrKind::kHalt:
-    case InstrKind::kMld:
-    case InstrKind::kPlw:
-      return d.rs1 == reg;
-    // rs1 + rs2.
-    case InstrKind::kMst:
-    case InstrKind::kPsw:
-    case InstrKind::kTlbwr:
-    case InstrKind::kMintset:
-      return d.rs1 == reg || d.rs2 == reg;
-    default:
-      break;
-  }
-  switch (d.info().format) {
-    case InstrFormat::kR:
-    case InstrFormat::kS:
-    case InstrFormat::kB:
-      return d.rs1 == reg || d.rs2 == reg;
-    case InstrFormat::kI:
-      return d.rs1 == reg;
-    default:
-      return false;
-  }
-}
-
 uint32_t LowestSetBit(uint32_t mask) {
   for (uint32_t i = 0; i < 32; ++i) {
     if ((mask >> i) & 1u) {
@@ -69,16 +17,6 @@ uint32_t LowestSetBit(uint32_t mask) {
   }
   return 0;
 }
-
-// Instruction kinds StepFast lets into the pipeline window: plain ALU ops,
-// multiplies/divides, fence and control transfers. Everything these do in EX
-// is a register write and/or a fetch redirect — no memory op, no trap, no
-// Metal state, no halt — so a window cycle needs no MEM stage and no
-// exception machinery. Loads/stores, menter/mexit, ecall/ebreak/halt and
-// every Metal-only kind fall back to StepCycle.
-// The per-cycle window check delegates to the shared predicate so the
-// superblock build walk (cpu/superblock.cc) can never disagree with it.
-bool WindowSafe(InstrKind kind) { return WindowSafeInstr(kind); }
 
 }  // namespace
 
@@ -91,7 +29,7 @@ Core::Core(const CoreConfig& config)
       dcache_(config.dcache_lines, config.dcache_line_size, config.cache_hit_latency,
               config.dram_latency),
       predecode_(config.predecode_entries),
-      superblocks_(config.superblocks && config.fast_step, config.superblock_max_len) {
+      superblocks_(config.fast_step) {
   // Device map; AttachDevice only fails on overlap, which is impossible here.
   (void)bus_.AttachDevice(InterruptController::kDefaultBase, &intc_);
   (void)bus_.AttachDevice(TimerDevice::kDefaultBase, &timer_);
@@ -268,121 +206,79 @@ void Core::StepCycle() {
 // Hot-path stepping
 // ---------------------------------------------------------------------------
 //
-// StepFast commits cycles of the exact StepCycle state machine, specialised
-// for the common case: non-Metal straight-line/branchy ALU code with 1-cycle
-// icache-hit fetches, an empty MEM stage, no deliverable interrupt, no fault
-// engine, and no device with a pending event. Under those conditions each
-// cycle is: EX executes the ID/EX op (retiring it), ID shifts IF/ID into
-// ID/EX, IF fetches a new word with same-cycle delivery — or, on a taken
-// branch, EX redirects and the frontend refills over the next two cycles.
+// StepFast commits cycles of the exact StepCycle state machine by running
+// superblock traces (cpu/superblock.h): non-Metal DRAM code with 1-cycle
+// icache-hit fetches, no deliverable interrupt, no fault engine, and no
+// device with a pending event. It enters only at a pipeline refill point —
+// ID/EX, IF/ID and MEM empty, the fetch unit idle and the skid buffer empty,
+// the state after a taken branch or a cold start — and returns to Core::Run,
+// which continues with StepCycle, at a trace exit or at a refill point with
+// no usable trace.
 //
-// Every condition that could make a cycle deviate from that shape is checked
-// BEFORE the cycle is committed, so a StepFast exit always lands on a state
-// StepCycle can continue from, and N committed cycles leave the machine
+// Every condition that could make a cycle deviate from the trace's shape is
+// checked BEFORE the cycle is committed, so a StepFast exit always lands on a
+// state StepCycle can continue from, and N committed cycles leave the machine
 // byte-identical (SaveState stream, including stale latch fields and every
-// counter) to N StepCycle calls. Guard stability inside the window: stores,
-// Metal ops and loads never enter the window, so interrupt enables, intercept
-// and paging configuration, device state and the predecode generation cannot
-// change between the entry checks and the exit.
-
-bool Core::AluRedirects(const Decoded& d) const {
-  switch (d.kind) {
-    case InstrKind::kJal:
-    case InstrKind::kJalr:
-      return true;
-    case InstrKind::kBeq:
-      return ReadReg(d.rs1) == ReadReg(d.rs2);
-    case InstrKind::kBne:
-      return ReadReg(d.rs1) != ReadReg(d.rs2);
-    case InstrKind::kBlt:
-      return static_cast<int32_t>(ReadReg(d.rs1)) < static_cast<int32_t>(ReadReg(d.rs2));
-    case InstrKind::kBge:
-      return static_cast<int32_t>(ReadReg(d.rs1)) >= static_cast<int32_t>(ReadReg(d.rs2));
-    case InstrKind::kBltu:
-      return ReadReg(d.rs1) < ReadReg(d.rs2);
-    case InstrKind::kBgeu:
-      return ReadReg(d.rs1) >= ReadReg(d.rs2);
-    default:
-      return false;
-  }
-}
+// counter) to N StepCycle calls. Guard stability across a call: traces hold
+// no Metal op and only DRAM memory ops, so interrupt enables, intercept and
+// paging configuration and device state cannot change between the entry
+// checks and the exit.
 
 uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
   if (!config_.fast_step || max_cycles == 0 || halted_ || has_fatal_) {
     return 0;
   }
-  // Global eligibility. Anything here that could change inside the window is
-  // only changed by instruction kinds the window refuses (see WindowSafe and
-  // TraceSafeInstr — paging state, ASID, KEYPERM and TLB contents move only
-  // under Metal-only instructions, so paging-enabled windows are sound: every
-  // translation is re-probed per access, side-effect-free, and a miss or
-  // permission failure exits to the per-cycle machinery, which then counts
-  // the miss and raises the fault). bus_fault_armed_ is normally implied by
-  // fault_engine_, but can survive it via checkpoint restore — the armed
-  // corruption must land through the per-cycle MEM stage.
+  // Global eligibility. Anything here that could change inside a trace is
+  // only changed by instruction kinds traces refuse (see TraceSafeInstr —
+  // paging state, ASID, KEYPERM and TLB contents move only under Metal-only
+  // instructions, so paging-enabled traces are sound: every translation is
+  // re-probed per access, side-effect-free, and a miss or permission failure
+  // exits to the per-cycle machinery, which then counts the miss and raises
+  // the fault). bus_fault_armed_ is normally implied by fault_engine_, but
+  // can survive it via checkpoint restore — the armed corruption must land
+  // through the per-cycle MEM stage.
   if (fault_engine_ != nullptr || arch_metal_ || frontend_metal_ ||
       inflight_mode_ops_ != 0 || in_machine_check_ || bus_fault_armed_ ||
       metal_.AnyInterceptEnabled() || (intc_.pending() & metal_.ienable()) != 0 ||
       config_.cache_hit_latency != 1) {
     return 0;
   }
-  // Pipeline shape: MEM empty, fetch unit idle, and anything already latched
-  // must itself be window-safe.
-  if (ex_mem_.valid || fetch_inflight_ || fetch_wait_ != 0 || fetch_buffer_.valid) {
+  // Refill point: nothing latched, MEM empty, fetch unit idle.
+  if (id_ex_.valid || if_id_.valid || ex_mem_.valid || fetch_inflight_ || fetch_wait_ != 0 ||
+      fetch_buffer_.valid) {
     return 0;
   }
-  if (id_ex_.valid &&
-      (id_ex_.metal || id_ex_.has_transition() || id_ex_.intercepted ||
-       id_ex_.fetch_fault != ExcCause::kNone || !WindowSafe(id_ex_.d.kind))) {
-    return 0;
-  }
-  // No entry check on IF/ID: the loop decides per cycle whether the latched
-  // word is consumed (must be window-safe) or squashed by a taken branch.
 
   const uint64_t start = cycle_;
   // First cycle at which any device tick has an effect; cycles strictly below
-  // it need no TickDevices call. Stable in-window: in-window memory traffic
-  // is DRAM-only (MMIO is excluded from every fast path), so no store can
-  // move a device's next event.
+  // it need no TickDevices call. Stable across traces: in-trace memory
+  // traffic is DRAM-only (MMIO is excluded from every trace slot), so no
+  // store can move a device's next event.
   const uint64_t horizon = bus_.NextDeviceEventCycle(cycle_);
   const uint32_t dram_size = bus_.dram().size();
-  // Translation context. Stable in-window: PGENABLE/ASID/KEYPERM and the TLB
-  // itself move only under Metal-only instructions, which no window admits.
+  // Translation context. Stable across traces: PGENABLE/ASID/KEYPERM and the
+  // TLB itself move only under Metal-only instructions, which no trace holds.
   const bool paged = metal_.paging_enabled();
   const uint16_t asid = metal_.asid();
   const uint32_t keyperm = metal_.keyperm();
   const SbAddrSpace sb_as{paged ? &mmu_ : nullptr, asid, keyperm};
-  // Mutable: superblock store slots bump it mid-window; reloaded after every
+  // Mutable: superblock store slots bump it mid-trace; reloaded after every
   // completed store so predecode probes always see the current generation.
   uint64_t gen = bus_.dram().write_generation();
   uint64_t retired = 0;
 
-  // The window's pipeline state lives in shadow locals; the member latches
-  // are written back once at exit, byte-identical to what per-cycle stepping
-  // would have left (consuming a latch only clears `valid` — the payload
-  // goes stale in place — so payload locals are KEPT when their valid local
-  // drops). cycle_ itself advances per cycle: ExecuteAluOp's retire hook
-  // stamps RetireEvent::cycle from it.
-  bool ex_valid = id_ex_.valid;
-  uint32_t ex_pc = id_ex_.pc;
-  Decoded ex_d = id_ex_.d;
-  bool id_valid = if_id_.valid;
-  uint32_t id_pc = if_id_.pc;
-  uint32_t id_raw = if_id_.raw;
-  Decoded id_d = if_id_.d;
-  bool id_metal = if_id_.metal;
-  ExcCause id_fault = if_id_.fault;
-  uint32_t id_fault_addr = if_id_.fault_addr;
+  // The fetch pc lives in a local; the pipeline latches are written at each
+  // trace exit, byte-identical to what per-cycle stepping would have left.
+  // cycle_ itself advances per cycle: the retire hook stamps
+  // RetireEvent::cycle from it.
   uint32_t pc = fetch_pc_;
-  bool fetched_any = false;  // fetch_buffer_ payload needs writeback
-  bool shifted_any = false;  // id_ex_ went through StageId: extras are zeroed
   bool last_redirect = false;
   uint64_t icache_hits = 0;
   uint64_t predecode_hits = 0;
   uint64_t dcache_hits = 0;
   uint64_t tlb_hits = 0;  // fetch + data translations, credited in one batch
 
-  // Pending MEM-stage op shadow (superblock memory slots only). A dispatch
+  // Pending MEM-stage op shadow (superblock memory slots). A dispatch
   // latches the access here with wait = 1; the next committed cycle's
   // MEM-stage slice completes it. Mirrors ex_mem_: consuming only drops
   // `valid`/zeroes `wait`, the payload goes stale in place, so the shadow is
@@ -390,47 +286,37 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
   MemOp sb_pend;
   bool sb_mem_any = false;
   // Load-use shadow for writeback: per-cycle, ex_load_this_cycle_ is true at
-  // window end iff the LAST committed cycle dispatched a load. Recording the
+  // exit iff the LAST committed cycle dispatched a load. Recording the
   // dispatch cycle number makes that a single compare at exit instead of a
   // per-cycle reset.
   uint64_t load_dispatch_cycle = ~uint64_t{0};
-  uint8_t ex_load_rd = ex_load_rd_;
-  // Fetch-buffer payload shadow. Generic-loop fetches deliver same-cycle, so
-  // their buffer payload equals the IF/ID payload (handled at writeback); a
-  // trace fetch under a live skid (depth 1) parks a DIFFERENT word in the
-  // buffer, tracked by these locals. buf_valid is the buffer's `valid` bit at
-  // window end (true only when a window exits mid-skid).
-  bool buf_valid = false;
-  bool buf_from_trace = false;
-  uint32_t buf_pc = 0;
-  uint32_t buf_raw = 0;
-  Decoded buf_d;
+  // A trace slot as the fetch unit delivers it (faultless, non-Metal).
+  const auto slot_payload = [](const SbSlot& slot) {
+    FetchSlot payload;
+    payload.pc = slot.addr;
+    payload.raw = slot.raw;
+    payload.d = slot.d;
+    return payload;
+  };
 
-  // Reusable EX operand. Every in-window ID/EX op is a plain StageId product:
-  // no transition chain, no intercept, no fetch fault — those fields stay at
-  // their defaults across the whole window, so only pc/d vary per cycle.
-  Op ex_op;
-  ex_op.valid = true;
-
-  const bool sb_on = superblocks_.enabled();
   const uint32_t sb_icache_line = config_.icache_line_size;
   // Segment readiness sweep, run once per trace-segment entry. Every fetch
   // inside a segment must be a faultless, 1-cycle icache hit; neither the
   // icache (hits do not allocate, D-side traffic is DRAM-only) nor the
   // translation of the segment's pages (Metal-only mutations) can change
-  // in-window, so one sweep stands in for the per-fetch Probe/Translate the
-  // generic loop runs. Under paging, the pages must additionally be
-  // resident, executable, key-readable and map at ONE common delta (the
-  // build-time slot addresses are virtual; `*delta` rebases them).
+  // mid-trace, so one sweep stands in for the per-fetch Probe/Translate of
+  // StageIf. Under paging, the pages must additionally be resident,
+  // executable, key-readable and map at ONE common delta (the build-time
+  // slot addresses are virtual; `*delta` rebases them).
   //
   // Returns the number of LEADING slots that are ready (0 rejects the
   // segment). The executor runs the segment truncated to that prefix —
   // byte-exact, because a truncated segment is indistinguishable from a
   // shorter trace: the fetch guard exits before the first cold word, and
-  // the generic loop takes the same cycles to the same probe/translate
-  // failure. Truncation matters: a trace's cold suffix (a fall-through
-  // path the guest has not reached) must not keep its hot prefix — e.g. a
-  // loop body ending in a strongly taken back edge — out of the executor.
+  // StepCycle takes the same cycles to the same probe/translate failure.
+  // Truncation matters: a trace's cold suffix (a fall-through path the guest
+  // has not reached) must not keep its hot prefix — e.g. a loop body ending
+  // in a strongly taken back edge — out of the executor.
   auto sb_seg_ready = [&](const SbSegment& seg, uint32_t* delta) -> uint32_t {
     uint32_t d = 0;
     uint32_t vlimit = seg.start + 4 * seg.len;
@@ -466,19 +352,18 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
   };
 
 // Superblock executor cycle fragments (see the executor block below). Each
-// committed trace cycle performs exactly the generic loop's work for that
-// cycle — same counters, same tracer events, same latch-shadow evolution —
-// with the per-cycle decode, window-safety re-check and double branch
-// evaluation compiled away at build time.
+// committed trace cycle performs exactly StepCycle's work for that cycle —
+// same counters, same tracer events, same latch evolution — with the
+// per-cycle decode, hazard checks and branch evaluation compiled away at
+// build time.
 //
 // Pre-commit fetch check for the cycle's speculative fetch. The fetch slot
 // is e + 2 + depth: at depth 1 (live load-use skid) the frontend runs one
-// slot ahead, with the extra word parked in the skid buffer. Mirrors the
-// generic loop's decide-then-commit contract: every exit taken here abandons
-// the cycle with no side effects. The first guard is the generic loop's ID
-// window-safety break: when the word about to shift into EX (slot e + 1) is
-// past the executable run, a per-cycle run would refuse to commit this
-// cycle, so the trace must exit BEFORE committing it too.
+// slot ahead, with the extra word parked in the skid buffer. Every exit
+// taken here abandons the cycle with no side effects. The first guard stops
+// the trace before a cycle that would shift a word past the executable run
+// (slot e + 1) into EX: the executor could not run it, so StepCycle takes
+// that cycle.
 //
 // When a pending STORE completes this cycle, MEM runs before IF: the fetch
 // must observe the post-store bytes. The store may legally target the
@@ -490,7 +375,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
   do {                                                                   \
     const int32_t sb_f = e + 2 + depth;                                  \
     if (e + 1 >= exec_len || sb_f >= len) {                              \
-      goto sb_exit_uncommitted;                                          \
+      goto sb_exit;                                          \
     }                                                                    \
     const SbSlot& sb_fs = slots[sb_f];                                   \
     const uint32_t sb_fpa = sb_fs.addr + fdelta;                         \
@@ -530,13 +415,13 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     }                                                                    \
   } while (0)
 
-// Post-commit fetch bookkeeping: the same counting events as the generic
-// loop's fetch (icache + TLB hit tally, predecode hit tally or
-// Verify/Insert — `gen` read here, AFTER any pending-store completion), the
-// ID -> EX shift, and the latch-payload shadow pointers. sh_ex/sh_id/sh_buf
-// track which slot's payload a per-cycle run would have left in each latch
-// and in the skid buffer; they are materialized into the ex_*/id_*/buf_*
-// shadows only at executor exit. Every started fetch rewrites the buffer
+// Post-commit fetch bookkeeping: the same counting events as StageIf's
+// fetch (icache + TLB hit tally, predecode hit tally or Verify/Insert —
+// `gen` read here, AFTER any pending-store completion), the ID -> EX shift,
+// and the latch-payload shadow pointers. sh_ex/sh_id/sh_buf track which
+// slot's payload a per-cycle run would have left in each latch and in the
+// skid buffer; they are materialized into the member latches only at
+// executor exit. Every started fetch rewrites the buffer
 // payload; at depth 0 delivery is same-cycle (ID gets the same word), at
 // depth 1 ID consumes the PREVIOUS buffered word and the new word parks.
 #define MSIM_SB_COMMIT_FETCH()                                           \
@@ -554,11 +439,9 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     }                                                                    \
     if (e >= -1) {                                                       \
       sh_ex = sh_id;                                                     \
-      shifted_any = true;                                                \
     }                                                                    \
     sh_id = depth != 0 ? sh_buf : &sb_fs;                                \
     sh_buf = &sb_fs;                                                     \
-    fetched_any = true;                                                  \
     ++e;                                                                 \
     pc = sb_fs.addr + 4;                                                 \
   } while (0)
@@ -654,7 +537,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     sb_mem_any = true;                                                   \
     if (!sb_st) {                                                        \
       load_dispatch_cycle = cycle_;                                      \
-      ex_load_rd = es->d.rd;                                             \
+      ex_load_rd_ = es->d.rd;                                            \
     }                                                                    \
   } while (0)
 
@@ -720,590 +603,447 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
 
   while (cycle_ - start < max_cycles && cycle_ + 1 < horizon &&
          (max_retires == 0 || retired < max_retires)) {
-    // ---- Superblock tier (cpu/superblock.h) ------------------------------
-    // Entered only at refill points — both latches empty, which is exactly
-    // the state after a taken branch or a cold window entry — so every
-    // window-entry guard (horizon, no pending interrupt, not Metal) is
-    // already established and stays valid across the whole trace: in-trace
-    // memory slots are DRAM-only, so no MMIO write can move a device's next
-    // event, and no interrupt can become pending before the horizon.
-    if (sb_on && !ex_valid && !id_valid) {
-      Superblock* sb = superblocks_.Lookup(pc);
-      if (sb == nullptr) {
-        sb = superblocks_.Build(pc, bus_.dram(), sb_as);
-      } else if (sb->grow_pending) {
-        // Deferred tree growth (a biased branch observed by an earlier
-        // executor run) applies only here: the walk reallocates slot
-        // storage, which must never happen while executor slot pointers
-        // are live.
-        superblocks_.MaybeGrow(*sb, bus_.dram(), sb_as,
-                               config_.superblock_max_trees);
-      }
-      uint32_t sb_entry_delta = 0;
-      const uint32_t sb_entry_len =
-          sb != nullptr ? sb_seg_ready(sb->segs[0], &sb_entry_delta) : 0;
-      if (sb_entry_len >= kSuperblockMinLen) {
-        superblocks_.CountExecution();
-        const uint64_t sb_entry_retired = retired;
-        SbSlot* slots = sb->slots.data();
-        int32_t len = static_cast<int32_t>(sb_entry_len);
-        int32_t exec_len =
-            sb->exec_len < sb_entry_len ? static_cast<int32_t>(sb->exec_len) : len;
-        // Physical rebase for the current segment's slot addresses (0 when
-        // unpaged or identity-mapped).
-        uint32_t fdelta = sb_entry_delta;
-        // Slot position of the EX stage this cycle; -2/-1 are the two
-        // refill cycles before slots[0] reaches EX. Invariant after every
-        // committed cycle at depth 0: EX holds slot e, ID holds slot e + 1,
-        // the next fetch is slot e + 2. A load-use stall enters the skid
-        // regime (depth 1): the buffer holds slot e + 2 and fetches run one
-        // ahead, until a redirect drains it — exactly the per-cycle skid.
-        int32_t e = -2;
-        int32_t depth = 0;
-        bool in_bubble = false;  // load-use bubble cycle in flight
-        const SbSlot* sh_ex = nullptr;
-        const SbSlot* sh_id = nullptr;
-        const SbSlot* sh_buf = nullptr;
-        SbSlot* es = nullptr;
-        bool sb_hit = false;
-        uint32_t sb_tgt = 0;
+    // Every pass starts at a refill point, so every entry guard (horizon, no
+    // pending interrupt, not Metal) is already established and stays valid
+    // across the whole trace: in-trace memory slots are DRAM-only, so no
+    // MMIO write can move a device's next event, and no interrupt can become
+    // pending before the horizon.
+    Superblock* sb = superblocks_.Lookup(pc);
+    if (sb == nullptr) {
+      sb = superblocks_.Build(pc, bus_.dram(), sb_as);
+    } else if (sb->grow_pending) {
+      // Deferred tree growth (a biased branch observed by an earlier
+      // executor run) applies only here: the walk reallocates slot storage,
+      // which must never happen while executor slot pointers are live.
+      superblocks_.MaybeGrow(*sb, bus_.dram(), sb_as);
+    }
+    uint32_t sb_entry_delta = 0;
+    const uint32_t sb_entry_len =
+        sb != nullptr ? sb_seg_ready(sb->segs[0], &sb_entry_delta) : 0;
+    if (sb_entry_len < kSuperblockMinLen) {
+      break;  // no usable trace here: StepCycle takes over
+    }
+    superblocks_.CountExecution();
+    const uint64_t sb_entry_retired = retired;
+    SbSlot* slots = sb->slots.data();
+    int32_t len = static_cast<int32_t>(sb_entry_len);
+    int32_t exec_len =
+        sb->exec_len < sb_entry_len ? static_cast<int32_t>(sb->exec_len) : len;
+    // Physical rebase for the current segment's slot addresses (0 when
+    // unpaged or identity-mapped).
+    uint32_t fdelta = sb_entry_delta;
+    // Slot position of the EX stage this cycle; -2/-1 are the two
+    // refill cycles before slots[0] reaches EX. Invariant after every
+    // committed cycle at depth 0: EX holds slot e, ID holds slot e + 1,
+    // the next fetch is slot e + 2. A load-use stall enters the skid
+    // regime (depth 1): the buffer holds slot e + 2 and fetches run one
+    // ahead, until a redirect drains it — exactly the per-cycle skid.
+    int32_t e = -2;
+    int32_t depth = 0;
+    bool in_bubble = false;  // load-use bubble cycle in flight
+    const SbSlot* sh_ex = nullptr;
+    const SbSlot* sh_id = nullptr;
+    const SbSlot* sh_buf = nullptr;
+    SbSlot* es = nullptr;
+    bool sb_hit = false;
+    uint32_t sb_tgt = 0;
 
 #if defined(__GNUC__) || defined(__clang__)
-        // Threaded dispatch: one indirect jump per instruction, indexed by
-        // the build-time executor opcode. Order must match SbExec exactly.
-        static const void* const kSbGoto[] = {
-            &&sb_x_const, &&sb_x_addi, &&sb_x_slti, &&sb_x_sltiu,
-            &&sb_x_xori, &&sb_x_ori, &&sb_x_andi, &&sb_x_slli, &&sb_x_srli,
-            &&sb_x_srai, &&sb_x_add, &&sb_x_sub, &&sb_x_sll, &&sb_x_slt,
-            &&sb_x_sltu, &&sb_x_xor, &&sb_x_srl, &&sb_x_sra, &&sb_x_or,
-            &&sb_x_and, &&sb_x_fence, &&sb_x_mul, &&sb_x_mulh,
-            &&sb_x_mulhsu, &&sb_x_mulhu, &&sb_x_div, &&sb_x_divu,
-            &&sb_x_rem, &&sb_x_remu, &&sb_x_jal, &&sb_x_jalr, &&sb_x_beq,
-            &&sb_x_bne, &&sb_x_blt, &&sb_x_bge, &&sb_x_bltu, &&sb_x_bgeu,
-            &&sb_x_mem, &&sb_x_mem, &&sb_x_mem, &&sb_x_mem, &&sb_x_mem,
-            &&sb_x_mem, &&sb_x_mem, &&sb_x_mem};
-        static_assert(sizeof(kSbGoto) / sizeof(kSbGoto[0]) ==
-                      static_cast<size_t>(SbExec::kCount));
+    // Threaded dispatch: one indirect jump per instruction, indexed by
+    // the build-time executor opcode. Order must match SbExec exactly.
+    static const void* const kSbGoto[] = {
+        &&sb_x_const, &&sb_x_addi, &&sb_x_slti, &&sb_x_sltiu,
+        &&sb_x_xori, &&sb_x_ori, &&sb_x_andi, &&sb_x_slli, &&sb_x_srli,
+        &&sb_x_srai, &&sb_x_add, &&sb_x_sub, &&sb_x_sll, &&sb_x_slt,
+        &&sb_x_sltu, &&sb_x_xor, &&sb_x_srl, &&sb_x_sra, &&sb_x_or,
+        &&sb_x_and, &&sb_x_fence, &&sb_x_mul, &&sb_x_mulh,
+        &&sb_x_mulhsu, &&sb_x_mulhu, &&sb_x_div, &&sb_x_divu,
+        &&sb_x_rem, &&sb_x_remu, &&sb_x_jal, &&sb_x_jalr, &&sb_x_beq,
+        &&sb_x_bne, &&sb_x_blt, &&sb_x_bge, &&sb_x_bltu, &&sb_x_bgeu,
+        &&sb_x_mem, &&sb_x_mem, &&sb_x_mem, &&sb_x_mem, &&sb_x_mem,
+        &&sb_x_mem, &&sb_x_mem, &&sb_x_mem};
+    static_assert(sizeof(kSbGoto) / sizeof(kSbGoto[0]) ==
+                  static_cast<size_t>(SbExec::kCount));
 #endif
 
-      sb_next:
-        // The generic loop's per-cycle budget/horizon condition, with one
-        // tightening: a cycle whose MEM stage completes a pending op can
-        // retire TWO instructions (the completion plus the EX op), so a
-        // live pending op reserves one unit of retire budget. Exiting a
-        // cycle early is always sound — every exit is a per-cycle-exact
-        // state — and the bound is what RunRetireLockstep relies on.
-        if (!(cycle_ - start < max_cycles && cycle_ + 1 < horizon &&
-              (max_retires == 0 ||
-               retired + (sb_pend.valid ? 1u : 0u) < max_retires))) {
-          goto sb_exit_uncommitted;
-        }
-        if (e < 0) {
-          // Refill cycle: nothing in EX yet, fetch only.
-          MSIM_SB_FETCH_OR_EXIT();
-          ++cycle_;
-          last_redirect = false;
-          MSIM_SB_COMMIT_FETCH();
-          goto sb_next;
-        }
-        es = &slots[e];
+  sb_next:
+    // The loop's budget/horizon condition, checked per cycle, with one
+    // tightening: a cycle whose MEM stage completes a pending op can
+    // retire TWO instructions (the completion plus the EX op), so a
+    // live pending op reserves one unit of retire budget. Exiting a
+    // cycle early is always sound — every exit is a per-cycle-exact
+    // state — and the bound is what RunRetireLockstep relies on.
+    if (!(cycle_ - start < max_cycles && cycle_ + 1 < horizon &&
+          (max_retires == 0 ||
+           retired + (sb_pend.valid ? 1u : 0u) < max_retires))) {
+      goto sb_exit;
+    }
+    if (e < 0) {
+      // Refill cycle: nothing in EX yet, fetch only.
+      MSIM_SB_FETCH_OR_EXIT();
+      ++cycle_;
+      last_redirect = false;
+      MSIM_SB_COMMIT_FETCH();
+      goto sb_next;
+    }
+    es = &slots[e];
 #if defined(__GNUC__) || defined(__clang__)
-        goto *kSbGoto[static_cast<uint8_t>(es->exec)];
+    goto *kSbGoto[static_cast<uint8_t>(es->exec)];
 #else
-        switch (es->exec) {
-          case SbExec::kConst: goto sb_x_const;
-          case SbExec::kAddi: goto sb_x_addi;
-          case SbExec::kSlti: goto sb_x_slti;
-          case SbExec::kSltiu: goto sb_x_sltiu;
-          case SbExec::kXori: goto sb_x_xori;
-          case SbExec::kOri: goto sb_x_ori;
-          case SbExec::kAndi: goto sb_x_andi;
-          case SbExec::kSlli: goto sb_x_slli;
-          case SbExec::kSrli: goto sb_x_srli;
-          case SbExec::kSrai: goto sb_x_srai;
-          case SbExec::kAdd: goto sb_x_add;
-          case SbExec::kSub: goto sb_x_sub;
-          case SbExec::kSll: goto sb_x_sll;
-          case SbExec::kSlt: goto sb_x_slt;
-          case SbExec::kSltu: goto sb_x_sltu;
-          case SbExec::kXor: goto sb_x_xor;
-          case SbExec::kSrl: goto sb_x_srl;
-          case SbExec::kSra: goto sb_x_sra;
-          case SbExec::kOr: goto sb_x_or;
-          case SbExec::kAnd: goto sb_x_and;
-          case SbExec::kFence: goto sb_x_fence;
-          case SbExec::kMul: goto sb_x_mul;
-          case SbExec::kMulh: goto sb_x_mulh;
-          case SbExec::kMulhsu: goto sb_x_mulhsu;
-          case SbExec::kMulhu: goto sb_x_mulhu;
-          case SbExec::kDiv: goto sb_x_div;
-          case SbExec::kDivu: goto sb_x_divu;
-          case SbExec::kRem: goto sb_x_rem;
-          case SbExec::kRemu: goto sb_x_remu;
-          case SbExec::kJal: goto sb_x_jal;
-          case SbExec::kJalr: goto sb_x_jalr;
-          case SbExec::kBeq: goto sb_x_beq;
-          case SbExec::kBne: goto sb_x_bne;
-          case SbExec::kBlt: goto sb_x_blt;
-          case SbExec::kBge: goto sb_x_bge;
-          case SbExec::kBltu: goto sb_x_bltu;
-          case SbExec::kBgeu: goto sb_x_bgeu;
-          case SbExec::kLb:
-          case SbExec::kLbu:
-          case SbExec::kLh:
-          case SbExec::kLhu:
-          case SbExec::kLw:
-          case SbExec::kSb:
-          case SbExec::kSh:
-          case SbExec::kSw: goto sb_x_mem;
-          default: goto sb_exit_uncommitted;
-        }
+    switch (es->exec) {
+      case SbExec::kConst: goto sb_x_const;
+      case SbExec::kAddi: goto sb_x_addi;
+      case SbExec::kSlti: goto sb_x_slti;
+      case SbExec::kSltiu: goto sb_x_sltiu;
+      case SbExec::kXori: goto sb_x_xori;
+      case SbExec::kOri: goto sb_x_ori;
+      case SbExec::kAndi: goto sb_x_andi;
+      case SbExec::kSlli: goto sb_x_slli;
+      case SbExec::kSrli: goto sb_x_srli;
+      case SbExec::kSrai: goto sb_x_srai;
+      case SbExec::kAdd: goto sb_x_add;
+      case SbExec::kSub: goto sb_x_sub;
+      case SbExec::kSll: goto sb_x_sll;
+      case SbExec::kSlt: goto sb_x_slt;
+      case SbExec::kSltu: goto sb_x_sltu;
+      case SbExec::kXor: goto sb_x_xor;
+      case SbExec::kSrl: goto sb_x_srl;
+      case SbExec::kSra: goto sb_x_sra;
+      case SbExec::kOr: goto sb_x_or;
+      case SbExec::kAnd: goto sb_x_and;
+      case SbExec::kFence: goto sb_x_fence;
+      case SbExec::kMul: goto sb_x_mul;
+      case SbExec::kMulh: goto sb_x_mulh;
+      case SbExec::kMulhsu: goto sb_x_mulhsu;
+      case SbExec::kMulhu: goto sb_x_mulhu;
+      case SbExec::kDiv: goto sb_x_div;
+      case SbExec::kDivu: goto sb_x_divu;
+      case SbExec::kRem: goto sb_x_rem;
+      case SbExec::kRemu: goto sb_x_remu;
+      case SbExec::kJal: goto sb_x_jal;
+      case SbExec::kJalr: goto sb_x_jalr;
+      case SbExec::kBeq: goto sb_x_beq;
+      case SbExec::kBne: goto sb_x_bne;
+      case SbExec::kBlt: goto sb_x_blt;
+      case SbExec::kBge: goto sb_x_bge;
+      case SbExec::kBltu: goto sb_x_bltu;
+      case SbExec::kBgeu: goto sb_x_bgeu;
+      case SbExec::kLb:
+      case SbExec::kLbu:
+      case SbExec::kLh:
+      case SbExec::kLhu:
+      case SbExec::kLw:
+      case SbExec::kSb:
+      case SbExec::kSh:
+      case SbExec::kSw: goto sb_x_mem;
+      default: goto sb_exit;
+    }
 #endif
 
-        MSIM_SB_ALU(sb_x_const, es->cval)
-        MSIM_SB_ALU(sb_x_addi, MSIM_SB_A + es->imm)
-        MSIM_SB_ALU(sb_x_slti,
-                    MSIM_SB_SA < static_cast<int32_t>(es->imm) ? 1u : 0u)
-        MSIM_SB_ALU(sb_x_sltiu, MSIM_SB_A < es->imm ? 1u : 0u)
-        MSIM_SB_ALU(sb_x_xori, MSIM_SB_A ^ es->imm)
-        MSIM_SB_ALU(sb_x_ori, MSIM_SB_A | es->imm)
-        MSIM_SB_ALU(sb_x_andi, MSIM_SB_A & es->imm)
-        MSIM_SB_ALU(sb_x_slli, MSIM_SB_A << es->imm)
-        MSIM_SB_ALU(sb_x_srli, MSIM_SB_A >> es->imm)
-        MSIM_SB_ALU(sb_x_srai,
-                    static_cast<uint32_t>(MSIM_SB_SA >> es->imm))
-        MSIM_SB_ALU(sb_x_add, MSIM_SB_A + MSIM_SB_B)
-        MSIM_SB_ALU(sb_x_sub, MSIM_SB_A - MSIM_SB_B)
-        MSIM_SB_ALU(sb_x_sll, MSIM_SB_A << (MSIM_SB_B & 31))
-        MSIM_SB_ALU(sb_x_slt, MSIM_SB_SA < MSIM_SB_SB ? 1u : 0u)
-        MSIM_SB_ALU(sb_x_sltu, MSIM_SB_A < MSIM_SB_B ? 1u : 0u)
-        MSIM_SB_ALU(sb_x_xor, MSIM_SB_A ^ MSIM_SB_B)
-        MSIM_SB_ALU(sb_x_srl, MSIM_SB_A >> (MSIM_SB_B & 31))
-        MSIM_SB_ALU(sb_x_sra,
-                    static_cast<uint32_t>(MSIM_SB_SA >> (MSIM_SB_B & 31)))
-        MSIM_SB_ALU(sb_x_or, MSIM_SB_A | MSIM_SB_B)
-        MSIM_SB_ALU(sb_x_and, MSIM_SB_A & MSIM_SB_B)
+    MSIM_SB_ALU(sb_x_const, es->cval)
+    MSIM_SB_ALU(sb_x_addi, MSIM_SB_A + es->imm)
+    MSIM_SB_ALU(sb_x_slti,
+                MSIM_SB_SA < static_cast<int32_t>(es->imm) ? 1u : 0u)
+    MSIM_SB_ALU(sb_x_sltiu, MSIM_SB_A < es->imm ? 1u : 0u)
+    MSIM_SB_ALU(sb_x_xori, MSIM_SB_A ^ es->imm)
+    MSIM_SB_ALU(sb_x_ori, MSIM_SB_A | es->imm)
+    MSIM_SB_ALU(sb_x_andi, MSIM_SB_A & es->imm)
+    MSIM_SB_ALU(sb_x_slli, MSIM_SB_A << es->imm)
+    MSIM_SB_ALU(sb_x_srli, MSIM_SB_A >> es->imm)
+    MSIM_SB_ALU(sb_x_srai,
+                static_cast<uint32_t>(MSIM_SB_SA >> es->imm))
+    MSIM_SB_ALU(sb_x_add, MSIM_SB_A + MSIM_SB_B)
+    MSIM_SB_ALU(sb_x_sub, MSIM_SB_A - MSIM_SB_B)
+    MSIM_SB_ALU(sb_x_sll, MSIM_SB_A << (MSIM_SB_B & 31))
+    MSIM_SB_ALU(sb_x_slt, MSIM_SB_SA < MSIM_SB_SB ? 1u : 0u)
+    MSIM_SB_ALU(sb_x_sltu, MSIM_SB_A < MSIM_SB_B ? 1u : 0u)
+    MSIM_SB_ALU(sb_x_xor, MSIM_SB_A ^ MSIM_SB_B)
+    MSIM_SB_ALU(sb_x_srl, MSIM_SB_A >> (MSIM_SB_B & 31))
+    MSIM_SB_ALU(sb_x_sra,
+                static_cast<uint32_t>(MSIM_SB_SA >> (MSIM_SB_B & 31)))
+    MSIM_SB_ALU(sb_x_or, MSIM_SB_A | MSIM_SB_B)
+    MSIM_SB_ALU(sb_x_and, MSIM_SB_A & MSIM_SB_B)
 
-      sb_x_fence : {
-        MSIM_SB_FETCH_OR_EXIT();
-        ++cycle_;
-        MSIM_SB_RETIRE(*es);
-        last_redirect = false;
-        MSIM_SB_COMMIT_FETCH();
-        goto sb_next;
+  sb_x_fence : {
+    MSIM_SB_FETCH_OR_EXIT();
+    ++cycle_;
+    MSIM_SB_RETIRE(*es);
+    last_redirect = false;
+    MSIM_SB_COMMIT_FETCH();
+    goto sb_next;
+  }
+
+    MSIM_SB_ALU(sb_x_mul, MSIM_SB_A * MSIM_SB_B)
+    MSIM_SB_ALU(sb_x_mulh,
+                static_cast<uint32_t>((static_cast<int64_t>(MSIM_SB_SA) *
+                                       static_cast<int64_t>(MSIM_SB_SB)) >>
+                                      32))
+    MSIM_SB_ALU(sb_x_mulhsu,
+                static_cast<uint32_t>((static_cast<int64_t>(MSIM_SB_SA) *
+                                       static_cast<uint64_t>(MSIM_SB_B)) >>
+                                      32))
+    MSIM_SB_ALU(sb_x_mulhu,
+                static_cast<uint32_t>((static_cast<uint64_t>(MSIM_SB_A) *
+                                       static_cast<uint64_t>(MSIM_SB_B)) >>
+                                      32))
+    MSIM_SB_ALU(sb_x_div,
+                MSIM_SB_B == 0 ? 0xFFFFFFFFu
+                : (MSIM_SB_SA == INT32_MIN && MSIM_SB_SB == -1)
+                    ? static_cast<uint32_t>(INT32_MIN)
+                    : static_cast<uint32_t>(MSIM_SB_SA / MSIM_SB_SB))
+    MSIM_SB_ALU(sb_x_divu,
+                MSIM_SB_B == 0 ? 0xFFFFFFFFu : MSIM_SB_A / MSIM_SB_B)
+    MSIM_SB_ALU(sb_x_rem,
+                MSIM_SB_B == 0 ? MSIM_SB_A
+                : (MSIM_SB_SA == INT32_MIN && MSIM_SB_SB == -1)
+                    ? 0u
+                    : static_cast<uint32_t>(MSIM_SB_SA % MSIM_SB_SB))
+    MSIM_SB_ALU(sb_x_remu,
+                MSIM_SB_B == 0 ? MSIM_SB_A : MSIM_SB_A % MSIM_SB_B)
+
+  sb_x_jal:
+    sb_tgt = es->target;
+    goto sb_taken_link;
+  sb_x_jalr:
+    // Target reads rs1 BEFORE the link write (rd may alias rs1). A
+    // pending load completing this cycle cannot feed rs1 (stall_after
+    // would have inserted the bubble), so pre-completion read is exact.
+    sb_tgt = (MSIM_SB_A + es->imm) & ~1u;
+    goto sb_taken_link;
+  sb_taken_link:
+    ++cycle_;
+    MSIM_SB_COMPLETE_PEND();  // MEM's rd write lands before the link's
+    if (es->rd != 0) {
+      regs_[es->rd] = es->cval;  // pc + 4, folded at build
+    }
+    goto sb_taken_commit;
+
+    MSIM_SB_BRANCH(sb_x_beq, MSIM_SB_A == MSIM_SB_B)
+    MSIM_SB_BRANCH(sb_x_bne, MSIM_SB_A != MSIM_SB_B)
+    MSIM_SB_BRANCH(sb_x_blt, MSIM_SB_SA < MSIM_SB_SB)
+    MSIM_SB_BRANCH(sb_x_bge, MSIM_SB_SA >= MSIM_SB_SB)
+    MSIM_SB_BRANCH(sb_x_bltu, MSIM_SB_A < MSIM_SB_B)
+    MSIM_SB_BRANCH(sb_x_bgeu, MSIM_SB_A >= MSIM_SB_B)
+
+  sb_x_mem : {
+    // A memory slot in EX: StartMemOp's fast path, pre-checked with no
+    // side effects. Any slow condition — misalignment (a fault
+    // per-cycle), TLB miss or permission/key failure, MMIO or
+    // out-of-bounds physical target, dcache miss — exits the trace
+    // UNCOMMITTED and replays the op through the per-cycle machinery,
+    // which counts the miss, raises the fault or models the latency.
+    const uint32_t sb_size = SbMemSize(es->exec);
+    const bool sb_st = SbIsStore(es->exec);
+    const uint32_t sb_va = MSIM_SB_A + es->imm;
+    if ((sb_va & (sb_size - 1)) != 0) {
+      goto sb_exit_mem_slow;
+    }
+    uint32_t sb_pa = sb_va;
+    if (paged) {
+      const TranslateResult sb_tr = mmu_.ProbeTranslate(
+          sb_va, sb_st ? AccessType::kStore : AccessType::kLoad, asid,
+          keyperm);
+      if (!sb_tr.ok) {
+        goto sb_exit_mem_slow;
       }
-
-        MSIM_SB_ALU(sb_x_mul, MSIM_SB_A * MSIM_SB_B)
-        MSIM_SB_ALU(sb_x_mulh,
-                    static_cast<uint32_t>((static_cast<int64_t>(MSIM_SB_SA) *
-                                           static_cast<int64_t>(MSIM_SB_SB)) >>
-                                          32))
-        MSIM_SB_ALU(sb_x_mulhsu,
-                    static_cast<uint32_t>((static_cast<int64_t>(MSIM_SB_SA) *
-                                           static_cast<uint64_t>(MSIM_SB_B)) >>
-                                          32))
-        MSIM_SB_ALU(sb_x_mulhu,
-                    static_cast<uint32_t>((static_cast<uint64_t>(MSIM_SB_A) *
-                                           static_cast<uint64_t>(MSIM_SB_B)) >>
-                                          32))
-        MSIM_SB_ALU(sb_x_div,
-                    MSIM_SB_B == 0 ? 0xFFFFFFFFu
-                    : (MSIM_SB_SA == INT32_MIN && MSIM_SB_SB == -1)
-                        ? static_cast<uint32_t>(INT32_MIN)
-                        : static_cast<uint32_t>(MSIM_SB_SA / MSIM_SB_SB))
-        MSIM_SB_ALU(sb_x_divu,
-                    MSIM_SB_B == 0 ? 0xFFFFFFFFu : MSIM_SB_A / MSIM_SB_B)
-        MSIM_SB_ALU(sb_x_rem,
-                    MSIM_SB_B == 0 ? MSIM_SB_A
-                    : (MSIM_SB_SA == INT32_MIN && MSIM_SB_SB == -1)
-                        ? 0u
-                        : static_cast<uint32_t>(MSIM_SB_SA % MSIM_SB_SB))
-        MSIM_SB_ALU(sb_x_remu,
-                    MSIM_SB_B == 0 ? MSIM_SB_A : MSIM_SB_A % MSIM_SB_B)
-
-      sb_x_jal:
-        sb_tgt = es->target;
-        goto sb_taken_link;
-      sb_x_jalr:
-        // Target reads rs1 BEFORE the link write (rd may alias rs1). A
-        // pending load completing this cycle cannot feed rs1 (stall_after
-        // would have inserted the bubble), so pre-completion read is exact.
-        sb_tgt = (MSIM_SB_A + es->imm) & ~1u;
-        goto sb_taken_link;
-      sb_taken_link:
-        ++cycle_;
-        MSIM_SB_COMPLETE_PEND();  // MEM's rd write lands before the link's
-        if (es->rd != 0) {
-          regs_[es->rd] = es->cval;  // pc + 4, folded at build
-        }
-        goto sb_taken_commit;
-
-        MSIM_SB_BRANCH(sb_x_beq, MSIM_SB_A == MSIM_SB_B)
-        MSIM_SB_BRANCH(sb_x_bne, MSIM_SB_A != MSIM_SB_B)
-        MSIM_SB_BRANCH(sb_x_blt, MSIM_SB_SA < MSIM_SB_SB)
-        MSIM_SB_BRANCH(sb_x_bge, MSIM_SB_SA >= MSIM_SB_SB)
-        MSIM_SB_BRANCH(sb_x_bltu, MSIM_SB_A < MSIM_SB_B)
-        MSIM_SB_BRANCH(sb_x_bgeu, MSIM_SB_A >= MSIM_SB_B)
-
-      sb_x_mem : {
-        // A memory slot in EX: StartMemOp's fast path, pre-checked with no
-        // side effects. Any slow condition — misalignment (a fault
-        // per-cycle), TLB miss or permission/key failure, MMIO or
-        // out-of-bounds physical target, dcache miss — exits the trace
-        // UNCOMMITTED and replays the op through the per-cycle machinery,
-        // which counts the miss, raises the fault or models the latency.
-        const uint32_t sb_size = SbMemSize(es->exec);
-        const bool sb_st = SbIsStore(es->exec);
-        const uint32_t sb_va = MSIM_SB_A + es->imm;
-        if ((sb_va & (sb_size - 1)) != 0) {
-          goto sb_exit_mem_slow;
-        }
-        uint32_t sb_pa = sb_va;
+      sb_pa = sb_tr.paddr;
+    }
+    if (sb_pa >= kMmioBase || sb_pa + sb_size > dram_size ||
+        !dcache_.Probe(sb_pa)) {
+      goto sb_exit_mem_slow;
+    }
+    if (!es->stall_after) {
+      // Plain dispatch: the access becomes the pending MEM op and the
+      // frontend keeps streaming.
+      MSIM_SB_FETCH_OR_EXIT();
+      ++cycle_;
+      MSIM_SB_COMPLETE_PEND();
+      MSIM_SB_MEM_DISPATCH();
+      last_redirect = false;
+      MSIM_SB_COMMIT_FETCH();
+      goto sb_next;
+    }
+    // Load-use stall: the next slot reads this load's rd, so StageId
+    // holds it and emits kStall. At depth 0 the cycle's fetch still
+    // runs, parking its word in the skid buffer; at depth 1 the buffer
+    // is already held and NO fetch starts (pc unchanged). Either way
+    // the next cycle is a forced bubble.
+    if (depth == 0) {
+      MSIM_SB_FETCH_OR_EXIT();
+      ++cycle_;
+      MSIM_SB_COMPLETE_PEND();
+      MSIM_SB_MEM_DISPATCH();
+      ++stats_.load_use_stalls;
+      tracer_.Emit(TraceEventKind::kStall, slots[e + 1].addr, 0, 0,
+                   false);
+      {
+        const SbSlot& sb_fs = slots[e + 2];
+        const uint32_t sb_fpa = sb_fs.addr + fdelta;
+        ++icache_hits;
         if (paged) {
-          const TranslateResult sb_tr = mmu_.ProbeTranslate(
-              sb_va, sb_st ? AccessType::kStore : AccessType::kLoad, asid,
-              keyperm);
-          if (!sb_tr.ok) {
-            goto sb_exit_mem_slow;
-          }
-          sb_pa = sb_tr.paddr;
+          ++tlb_hits;
         }
-        if (sb_pa >= kMmioBase || sb_pa + sb_size > dram_size ||
-            !dcache_.Probe(sb_pa)) {
-          goto sb_exit_mem_slow;
+        if (sb_hit) {
+          ++predecode_hits;
+        } else if (predecode_.Verify(sb_fpa, gen, sb_fs.raw) == nullptr) {
+          predecode_.Insert(sb_fpa, gen, sb_fs.raw, sb_fs.d);
         }
-        if (!es->stall_after) {
-          // Plain dispatch: the access becomes the pending MEM op and the
-          // frontend keeps streaming.
-          MSIM_SB_FETCH_OR_EXIT();
-          ++cycle_;
-          MSIM_SB_COMPLETE_PEND();
-          MSIM_SB_MEM_DISPATCH();
-          last_redirect = false;
-          MSIM_SB_COMMIT_FETCH();
-          goto sb_next;
-        }
-        // Load-use stall: the next slot reads this load's rd, so StageId
-        // holds it and emits kStall. At depth 0 the cycle's fetch still
-        // runs, parking its word in the skid buffer; at depth 1 the buffer
-        // is already held and NO fetch starts (pc unchanged). Either way
-        // the next cycle is a forced bubble.
-        if (depth == 0) {
-          MSIM_SB_FETCH_OR_EXIT();
-          ++cycle_;
-          MSIM_SB_COMPLETE_PEND();
-          MSIM_SB_MEM_DISPATCH();
-          ++stats_.load_use_stalls;
-          tracer_.Emit(TraceEventKind::kStall, slots[e + 1].addr, 0, 0,
-                       false);
-          {
-            const SbSlot& sb_fs = slots[e + 2];
-            const uint32_t sb_fpa = sb_fs.addr + fdelta;
-            ++icache_hits;
-            if (paged) {
-              ++tlb_hits;
-            }
-            if (sb_hit) {
-              ++predecode_hits;
-            } else if (predecode_.Verify(sb_fpa, gen, sb_fs.raw) == nullptr) {
-              predecode_.Insert(sb_fpa, gen, sb_fs.raw, sb_fs.d);
-            }
-            sh_buf = &sb_fs;
-            fetched_any = true;
-            pc = sb_fs.addr + 4;
-            depth = 1;
-          }
-          last_redirect = false;
-          goto sb_bubble;
-        }
-        if (e + 1 >= exec_len) {
-          goto sb_exit_uncommitted;  // unreachable: stall_after implies a next exec slot
-        }
-        ++cycle_;
-        MSIM_SB_COMPLETE_PEND();
-        MSIM_SB_MEM_DISPATCH();
-        ++stats_.load_use_stalls;
-        tracer_.Emit(TraceEventKind::kStall, slots[e + 1].addr, 0, 0, false);
-        last_redirect = false;
-        goto sb_bubble;
+        sh_buf = &sb_fs;
+        pc = sb_fs.addr + 4;
+        depth = 1;
       }
+      last_redirect = false;
+      goto sb_bubble;
+    }
+    if (e + 1 >= exec_len) {
+      goto sb_exit;  // unreachable: stall_after implies a next exec slot
+    }
+    ++cycle_;
+    MSIM_SB_COMPLETE_PEND();
+    MSIM_SB_MEM_DISPATCH();
+    ++stats_.load_use_stalls;
+    tracer_.Emit(TraceEventKind::kStall, slots[e + 1].addr, 0, 0, false);
+    last_redirect = false;
+    goto sb_bubble;
+  }
 
-      sb_bubble:
-        // The forced cycle after a load-use stall: EX is empty (no
-        // dispatch, no retire from EX), the stalled consumer advances from
-        // the buffer into ID next, and the frontend fetches one ahead. The
-        // stalled load itself completes at the top of this cycle.
-        in_bubble = true;
-        if (!(cycle_ - start < max_cycles && cycle_ + 1 < horizon &&
-              (max_retires == 0 ||
-               retired + (sb_pend.valid ? 1u : 0u) < max_retires))) {
-          goto sb_exit_uncommitted;
-        }
-        MSIM_SB_FETCH_OR_EXIT();
+  sb_bubble:
+    // The forced cycle after a load-use stall: EX is empty (no
+    // dispatch, no retire from EX), the stalled consumer advances from
+    // the buffer into ID next, and the frontend fetches one ahead. The
+    // stalled load itself completes at the top of this cycle.
+    in_bubble = true;
+    if (!(cycle_ - start < max_cycles && cycle_ + 1 < horizon &&
+          (max_retires == 0 ||
+           retired + (sb_pend.valid ? 1u : 0u) < max_retires))) {
+      goto sb_exit;
+    }
+    MSIM_SB_FETCH_OR_EXIT();
+    ++cycle_;
+    MSIM_SB_COMPLETE_PEND();
+    last_redirect = false;
+    MSIM_SB_COMMIT_FETCH();
+    in_bubble = false;
+    goto sb_next;
+
+  sb_taken_cond:
+    // Taken conditional branch: bias bookkeeping and tree transitions.
+    if (es->taken_seg >= 1) {
+      // The hot side was inlined as a tree segment. Entering it is the
+      // same committed redirect cycle, continued in the new segment
+      // without leaving the executor.
+      const SbSegment& sb_tseg = sb->segs[es->taken_seg];
+      uint32_t sb_tdelta = 0;
+      const uint32_t sb_tlen = sb_seg_ready(sb_tseg, &sb_tdelta);
+      if (sb_tlen >= kSuperblockMinLen) {
         ++cycle_;
         MSIM_SB_COMPLETE_PEND();
-        last_redirect = false;
-        MSIM_SB_COMMIT_FETCH();
-        in_bubble = false;
-        goto sb_next;
-
-      sb_taken_cond:
-        // Taken conditional branch: bias bookkeeping and tree transitions.
-        if (es->taken_seg >= 1) {
-          // The hot side was inlined as a tree segment. Entering it is the
-          // same committed redirect cycle, continued in the new segment
-          // without leaving the executor.
-          const SbSegment& sb_tseg = sb->segs[es->taken_seg];
-          uint32_t sb_tdelta = 0;
-          const uint32_t sb_tlen = sb_seg_ready(sb_tseg, &sb_tdelta);
-          if (sb_tlen >= kSuperblockMinLen) {
-            ++cycle_;
-            MSIM_SB_COMPLETE_PEND();
-            ++stats_.control_flushes;
-            RedirectFetch(sb_tgt);
-            MSIM_SB_RETIRE(*es);
-            last_redirect = true;
-            pc = fetch_pc_;
-            superblocks_.CountTreeTransition();
-            slots = sb->slots.data() + sb_tseg.base;
-            len = static_cast<int32_t>(sb_tlen);
-            exec_len = sb_tseg.exec_len < sb_tlen
-                           ? static_cast<int32_t>(sb_tseg.exec_len)
-                           : len;
-            fdelta = sb_tdelta;
-            e = -2;
-            depth = 0;  // the redirect drained any live skid
-            goto sb_next;
-          }
-        } else if (es->taken_seg == kSbSegUnlinked) {
-          ++es->taken_n;
-          if (es->taken_n >= kSbGrowMinTaken &&
-              es->nottaken_n * 8 <= es->taken_n && !sb->grow_pending) {
-            // Strongly biased: request growth. Applied at the next
-            // trace-entry point, never mid-execution (see entry block).
-            sb->grow_pending = true;
-            sb->grow_slot = static_cast<uint32_t>(es - sb->slots.data());
-          }
-        }
-      sb_taken:
-        ++cycle_;
-        MSIM_SB_COMPLETE_PEND();
-      sb_taken_commit:
-        // ExecuteAluOp's taken-branch order: flush (kFlush event) first,
-        // retire (kRetire event) second.
         ++stats_.control_flushes;
         RedirectFetch(sb_tgt);
         MSIM_SB_RETIRE(*es);
         last_redirect = true;
         pc = fetch_pc_;
+        superblocks_.CountTreeTransition();
+        slots = sb->slots.data() + sb_tseg.base;
+        len = static_cast<int32_t>(sb_tlen);
+        exec_len = sb_tseg.exec_len < sb_tlen
+                       ? static_cast<int32_t>(sb_tseg.exec_len)
+                       : len;
+        fdelta = sb_tdelta;
+        e = -2;
         depth = 0;  // the redirect drained any live skid
-        // EX consumed, ID squashed; sh_ex/sh_id keep their (now stale)
-        // payloads, exactly like the member latches in a per-cycle run.
-        {
-          Superblock* sb_nt = superblocks_.Lookup(pc);
-          uint32_t sb_nt_delta = 0;
-          const uint32_t sb_nt_len =
-              sb_nt != nullptr ? sb_seg_ready(sb_nt->segs[0], &sb_nt_delta) : 0;
-          if (sb_nt_len >= kSuperblockMinLen) {
-            // Chain: the branch target starts another cached trace. Stale
-            // payload pointers stay valid — invalidation never frees slot
-            // storage, and Build cannot run inside the executor.
-            superblocks_.CountChain();
-            sb = sb_nt;
-            slots = sb_nt->slots.data();
-            len = static_cast<int32_t>(sb_nt_len);
-            exec_len = sb_nt->exec_len < sb_nt_len
-                           ? static_cast<int32_t>(sb_nt->exec_len)
-                           : len;
-            fdelta = sb_nt_delta;
-            e = -2;
-            goto sb_next;
-          }
-        }
-        // No trace at the target: exit in the committed post-redirect state
-        // (both latches empty, buffer drained by the flush). The loop top
-        // may build one there.
-        if (sh_ex != nullptr) {
-          ex_pc = sh_ex->addr;
-          ex_d = sh_ex->d;
-        }
-        if (sh_id != nullptr) {
-          id_pc = sh_id->addr;
-          id_raw = sh_id->raw;
-          id_d = sh_id->d;
-          id_metal = false;
-          id_fault = ExcCause::kNone;
-          id_fault_addr = 0;
-        }
-        if (sh_buf != nullptr) {
-          buf_pc = sh_buf->addr;
-          buf_raw = sh_buf->raw;
-          buf_d = sh_buf->d;
-          buf_from_trace = true;
-        }
-        buf_valid = false;
-        ex_valid = false;
-        id_valid = false;
-        superblocks_.CreditInstructions(retired - sb_entry_retired);
-        continue;
-
-      sb_exit_mem_slow:
-        // A memory slot that cannot take the fast path: exit uncommitted
-        // with the op still in the EX latch. The window then breaks (the
-        // op is not window-safe) and StepCycle replays it with full
-        // per-cycle semantics — miss counting, MMIO routing, faults.
-        superblocks_.CountMemSlowExit();
-        goto sb_exit_uncommitted;
-      sb_exit_stale:
-        // A raw word no longer matches the backing store (the write that
-        // changed it — an external poke, a loader, or THIS trace's own
-        // pending store — forces the re-read above). Invalidate before the
-        // fetching cycle commits.
-        superblocks_.Invalidate(*sb);
-      sb_exit_uncommitted:
-        // Exit BEFORE the current cycle commits, materializing the latch
-        // shadows exactly as a per-cycle run would hold them here: slot e
-        // in EX (unless this is a bubble cycle, whose EX is empty), slot
-        // e + 1 in ID, the skid word in the buffer, consumed payloads stale
-        // in place. The generic loop continues this very cycle
-        // interpretively, or the whole window breaks when the pipeline
-        // state is beyond it: a pending MEM op, a live skid, or a
-        // non-window-safe (memory) op latched in EX.
-        if (sh_ex != nullptr) {
-          ex_pc = sh_ex->addr;
-          ex_d = sh_ex->d;
-        }
-        if (sh_id != nullptr) {
-          id_pc = sh_id->addr;
-          id_raw = sh_id->raw;
-          id_d = sh_id->d;
-          id_metal = false;
-          id_fault = ExcCause::kNone;
-          id_fault_addr = 0;
-        }
-        if (sh_buf != nullptr) {
-          buf_pc = sh_buf->addr;
-          buf_raw = sh_buf->raw;
-          buf_d = sh_buf->d;
-          buf_from_trace = true;
-        }
-        buf_valid = depth != 0;
-        ex_valid = e >= 0 && !in_bubble;
-        id_valid = e + 1 >= 0 && e + 1 < len;
-        superblocks_.CreditInstructions(retired - sb_entry_retired);
-        if (sb_pend.valid || depth != 0 ||
-            (ex_valid && !WindowSafe(ex_d.kind))) {
-          break;
-        }
-        continue;
+        goto sb_next;
+      }
+    } else if (es->taken_seg == kSbSegUnlinked) {
+      ++es->taken_n;
+      if (es->taken_n >= kSbGrowMinTaken &&
+          es->nottaken_n * 8 <= es->taken_n && !sb->grow_pending) {
+        // Strongly biased: request growth. Applied at the next
+        // trace-entry point, never mid-execution (see the loop top).
+        sb->grow_pending = true;
+        sb->grow_slot = static_cast<uint32_t>(es - sb->slots.data());
       }
     }
-    // ---- end superblock tier ---------------------------------------------
-
-    // Decide, without side effects, what this cycle would do.
-    const bool taken = ex_valid && AluRedirects(ex_d);
-    uint32_t fetch_raw = 0;
-    Decoded fetch_dec;
-    const Decoded* fetch_hit = nullptr;
-    uint32_t fetch_pa = pc;  // physical predecode/icache key
-    if (!taken) {
-      // The latched word shifts into ID/EX this cycle and executes next; that
-      // is only in-window for a faultless, window-safe instruction. (On a
-      // taken branch the latch is squashed instead, so any speculatively
-      // fetched fall-through word — a halt, a store — never reaches ID.)
-      if (id_valid && (id_metal || id_fault != ExcCause::kNone ||
-                       !WindowSafe(id_d.kind))) {
-        break;
-      }
-      // IF starts (and, at hit latency 1, completes) a fetch this cycle; it
-      // must be a faultless 1-cycle DRAM icache-hit fetch, or we leave the
-      // cycle to StepCycle. The *kind* of the fetched word does not matter
-      // yet — fetching is speculative and side-effect-free beyond counters.
-      // (pc >= kMmioBase also covers the MRAM code range, which sits above
-      // it — per-cycle would fetch there only in Metal mode anyway.)
-      if ((pc & 3) != 0 || pc >= kMmioBase) {
-        break;
-      }
-      if (paged) {
-        const TranslateResult tr =
-            mmu_.ProbeTranslate(pc, AccessType::kFetch, asid, keyperm);
-        if (!tr.ok) {
-          break;  // per-cycle counts the miss / raises the fault
-        }
-        fetch_pa = tr.paddr;
-      }
-      if (fetch_pa >= kMmioBase || fetch_pa + 4 > dram_size ||
-          !icache_.Probe(fetch_pa)) {
-        break;
-      }
-      fetch_hit = predecode_.Peek(fetch_pa, gen);
-      if (fetch_hit == nullptr) {
-        const auto word = bus_.dram().Read32(fetch_pa);
-        if (!word) {
-          break;
-        }
-        fetch_raw = *word;
-        fetch_dec = DecodeInstr(fetch_raw);
-      }
-    }
-
-    // Commit the cycle (the StepCycle sequence minus the skipped work: no
-    // fault engine, not Metal, no watchdog exposure, no device tick before
-    // the horizon, MEM empty).
     ++cycle_;
-    if (ex_valid) {
-      ex_op.pc = ex_pc;
-      ex_op.d = ex_d;
-      ExecuteAluOp(ex_op);  // retires; may RedirectFetch (matching `taken`)
-      ++retired;
-      ex_valid = false;
+    MSIM_SB_COMPLETE_PEND();
+  sb_taken_commit:
+    // ExecuteAluOp's taken-branch order: flush (kFlush event) first,
+    // retire (kRetire event) second.
+    ++stats_.control_flushes;
+    RedirectFetch(sb_tgt);
+    MSIM_SB_RETIRE(*es);
+    last_redirect = true;
+    pc = fetch_pc_;
+    depth = 0;  // the redirect drained any live skid
+    // EX consumed, ID squashed; sh_ex/sh_id keep their (now stale)
+    // payloads, exactly like the member latches in a per-cycle run.
+    {
+      Superblock* sb_nt = superblocks_.Lookup(pc);
+      uint32_t sb_nt_delta = 0;
+      const uint32_t sb_nt_len =
+          sb_nt != nullptr ? sb_seg_ready(sb_nt->segs[0], &sb_nt_delta) : 0;
+      if (sb_nt_len >= kSuperblockMinLen) {
+        // Chain: the branch target starts another cached trace. Stale
+        // payload pointers stay valid — invalidation never frees slot
+        // storage, and Build cannot run inside the executor.
+        superblocks_.CountChain();
+        sb = sb_nt;
+        slots = sb_nt->slots.data();
+        len = static_cast<int32_t>(sb_nt_len);
+        exec_len = sb_nt->exec_len < sb_nt_len
+                       ? static_cast<int32_t>(sb_nt->exec_len)
+                       : len;
+        fdelta = sb_nt_delta;
+        e = -2;
+        goto sb_next;
+      }
     }
-    last_redirect = taken;
-    if (taken) {
-      // RedirectFetch ran inside ExecuteAluOp: frontend flushed, member
-      // fetch_pc_ holds the branch target. Resync the shadows it touched.
-      id_valid = false;
-      pc = fetch_pc_;
-      continue;
+    // No trace at the target: leave in the committed post-redirect state,
+    // another refill point (both latches empty, buffer drained by the
+    // flush), where the loop top may build one.
+    e = -2;
+    goto sb_exit;
+
+  sb_exit_mem_slow:
+    // A memory slot that cannot take the fast path: exit uncommitted with
+    // the op still in the EX latch. StepCycle then replays it with full
+    // per-cycle semantics — miss counting, MMIO routing, faults.
+    superblocks_.CountMemSlowExit();
+    goto sb_exit;
+  sb_exit_stale:
+    // A raw word no longer matches the backing store (the write that
+    // changed it — an external poke, a loader, or THIS trace's own
+    // pending store — forces the re-read above). Invalidate before the
+    // fetching cycle commits.
+    superblocks_.Invalidate(*sb);
+  sb_exit:
+    // Leave the trace, materializing the latch shadows exactly as a
+    // per-cycle run would hold them here: slot e in EX (unless e < 0 or
+    // this is a bubble cycle, whose EX is empty), slot e + 1 in ID, the
+    // skid word in the buffer, consumed payloads stale in place. Every
+    // exit but the committed one above abandons the current cycle.
+    if (sh_ex != nullptr) {
+      Op op;  // StageId default-constructs the op it latches
+      op.pc = sh_ex->addr;
+      op.d = sh_ex->d;
+      id_ex_ = op;
     }
-    if (id_valid) {
-      // StageId, with the checks that cannot fire in-window elided: no
-      // load-use stall (no loads), no interrupt, no intercept, no
-      // replacement chain (no menter).
-      ex_valid = true;
-      ex_pc = id_pc;
-      ex_d = id_d;
-      shifted_any = true;
+    if (sh_id != nullptr) {
+      if_id_ = slot_payload(*sh_id);
     }
-    // StageIf with the pre-verified 1-cycle fetch: the wait elapses within
-    // the cycle and delivery is same-cycle (IF/ID is always free here), so
-    // fetch_inflight_/fetch_wait_ end the cycle unchanged. A Probe+Peek hit
-    // only counts — tallied locally, credited in bulk at exit; the rare
-    // verify/miss path runs its counting calls in place.
-    ++icache_hits;
-    if (paged) {
-      ++tlb_hits;
+    if (sh_buf != nullptr) {
+      fetch_buffer_ = slot_payload(*sh_buf);
     }
-    if (fetch_hit != nullptr) {
-      ++predecode_hits;
-      id_d = *fetch_hit;
-      id_raw = id_d.raw;
-    } else if (const Decoded* v = predecode_.Verify(fetch_pa, gen, fetch_raw)) {
-      id_d = *v;
-      id_raw = fetch_raw;
-    } else {
-      predecode_.Insert(fetch_pa, gen, fetch_raw, fetch_dec);
-      id_d = fetch_dec;
-      id_raw = fetch_raw;
+    id_ex_.valid = e >= 0 && !in_bubble;
+    if_id_.valid = e + 1 >= 0 && e + 1 < len;
+    fetch_buffer_.valid = depth != 0;
+    superblocks_.CreditInstructions(retired - sb_entry_retired);
+    // Only a refill point loops back for the next trace (an uncommitted
+    // exit elsewhere would re-enter the same state forever); anything
+    // still latched or pending is StepCycle's to continue.
+    if (id_ex_.valid || if_id_.valid || fetch_buffer_.valid || sb_pend.valid) {
+      break;
     }
-    id_pc = pc;
-    id_metal = false;
-    id_fault = ExcCause::kNone;
-    id_fault_addr = 0;
-    id_valid = true;
-    fetched_any = true;
-    buf_from_trace = false;  // same-cycle delivery: buffer payload == IF/ID
-    pc += 4;
   }
 
 #undef MSIM_SB_FETCH_OR_EXIT
@@ -1320,16 +1060,15 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
 
   const uint64_t committed = cycle_ - start;
   if (committed != 0) {
-    // Exact member-state writeback. Fields a per-cycle run would have left
-    // untouched get their (identical) shadow values back; fields it would
-    // have reset get the reset value.
+    // Member-state writeback for what the trace exits did not write
+    // directly. Fields a per-cycle run would have left untouched keep their
+    // values; fields it would have reset get the reset value.
     stats_.cycles = cycle_;
     metal_resident_cycles_ = 0;
     redirect_this_cycle_ = last_redirect;
     // True iff the LAST committed cycle dispatched a load (per-cycle resets
     // this every cycle and only a load's StageEx sets it).
     ex_load_this_cycle_ = load_dispatch_cycle == cycle_;
-    ex_load_rd_ = ex_load_rd;
     if (sb_mem_any) {
       // Live pending op (valid, wait 1) or the stale payload of the last
       // completed one (valid false, wait 0) — both byte-identical to what
@@ -1340,53 +1079,6 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     predecode_.CreditHits(predecode_hits);
     dcache_.CreditHits(dcache_hits);
     mmu_.tlb().CreditHits(tlb_hits);
-    id_ex_.valid = ex_valid;
-    id_ex_.pc = ex_pc;
-    id_ex_.d = ex_d;
-    if (shifted_any) {
-      // The latch went through (shadow) StageId, which default-constructs the
-      // op: every non-(pc,d) field is reset. Without a shift the entry values
-      // — possibly stale non-defaults — are still in place, correctly.
-      id_ex_.metal = false;
-      id_ex_.enters = 0;
-      id_ex_.exits = 0;
-      id_ex_.link = 0;
-      id_ex_.chain = {};
-      id_ex_.chain_len = 0;
-      id_ex_.intercepted = false;
-      id_ex_.intercept_entry = 0;
-      id_ex_.fetch_fault = ExcCause::kNone;
-      id_ex_.fetch_fault_addr = 0;
-    }
-    if_id_.valid = id_valid;
-    if_id_.pc = id_pc;
-    if_id_.raw = id_raw;
-    if_id_.d = id_d;
-    if_id_.metal = id_metal;
-    if_id_.fault = id_fault;
-    if_id_.fault_addr = id_fault_addr;
-    if (buf_from_trace) {
-      // The last started fetch was a trace fetch tracked by sh_buf — under
-      // a live skid its word differs from the IF/ID payload.
-      fetch_buffer_.pc = buf_pc;
-      fetch_buffer_.raw = buf_raw;
-      fetch_buffer_.d = buf_d;
-      fetch_buffer_.metal = false;
-      fetch_buffer_.fault = ExcCause::kNone;
-      fetch_buffer_.fault_addr = 0;
-    } else if (fetched_any) {
-      // Generic-loop fetches deliver same-cycle: the buffer payload and the
-      // IF/ID payload are the same word.
-      fetch_buffer_.pc = id_pc;
-      fetch_buffer_.raw = id_raw;
-      fetch_buffer_.d = id_d;
-      fetch_buffer_.metal = false;
-      fetch_buffer_.fault = ExcCause::kNone;
-      fetch_buffer_.fault_addr = 0;
-    }
-    // Held (valid) only when the window broke mid-skid; any committed
-    // redirect or same-cycle delivery leaves it empty.
-    fetch_buffer_.valid = buf_valid;
     fetch_pc_ = pc;
     // Catch the devices up to the current cycle in one tick. Sound because no
     // committed cycle reached the horizon: the tick observes the new cycle
@@ -2329,7 +2021,7 @@ void Core::StageId() {
     op.d = if_id_.d;  // predecoded at fetch (AccessFetch)
 
     // Load-use hazard: the load is in EX this cycle; stall one cycle.
-    if (ex_load_this_cycle_ && UsesReg(op.d, ex_load_rd_)) {
+    if (ex_load_this_cycle_ && InstrReadsGpr(op.d, ex_load_rd_)) {
       ++stats_.load_use_stalls;
       tracer_.Emit(TraceEventKind::kStall, op.pc, /*arg0=*/0, 0, op.metal);
       return;  // keep if_id_

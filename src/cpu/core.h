@@ -99,15 +99,16 @@ class Core {
   // Advances one clock cycle.
   void StepCycle();
 
-  // Hot-path stepping (docs/performance.md): commits whole cycles of
-  // straight-line non-Metal code without per-cycle device polling or latch
-  // shuffling, falling back (returning) as soon as anything interesting —
-  // a load/store, a Metal transition, an icache miss, a pending device event,
-  // a deliverable interrupt — would enter the pipeline. Cycle-exact: after N
-  // committed cycles the machine state is byte-identical to N StepCycle
-  // calls (enforced by `msim replay --compare --b-no-fast-step` and the
-  // mfuzz "faststep" oracle). Returns the number of cycles committed; 0 when
-  // the current state is not eligible (caller falls back to StepCycle).
+  // Hot-path stepping (docs/performance.md): from a pipeline refill point
+  // (both latches and MEM empty, fetch unit idle), commits whole cycles of
+  // non-Metal DRAM code through chained superblock traces, without per-cycle
+  // device polling or latch shuffling. Returns once a trace exits
+  // mid-stream — a slow memory op, an untraceable instruction, an icache
+  // miss, a pending device event — or no trace can start. Cycle-exact: after N committed cycles the machine state is
+  // byte-identical to N StepCycle calls (enforced by `msim replay
+  // --b-no-fast-step` and the mfuzz "faststep" oracle). Returns the number
+  // of cycles committed; 0 when the current state is not eligible (caller
+  // falls back to StepCycle).
   // `max_retires` (0 = unlimited) additionally bounds the number of retired
   // instructions, for retire-granular lockstep drivers.
   uint64_t StepFast(uint64_t max_cycles, uint64_t max_retires = 0);
@@ -307,12 +308,6 @@ class Core {
   // Squashes the fetch unit and points it at `pc` (the shared primitive
   // behind SetPc, FlushFrontend and the decode-stage replacement chain).
   void ResetFetch(uint32_t pc);
-
-  // True if executing `op` in EX would redirect fetch (taken branch/jump).
-  // Pure: reads the register file only. Must agree with ExecuteAluOp for
-  // every hot-path instruction kind (StepFast relies on this to decide
-  // whether the same cycle also fetches).
-  bool AluRedirects(const Decoded& d) const;
 
   // Fetch helpers.
   struct FetchResult {

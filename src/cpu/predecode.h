@@ -108,7 +108,7 @@ class PredecodeCache {
   }
 
   // Hot-path port (Core::StepFast): Peek-confirmed hits are counted locally
-  // by the stepper and credited in bulk at window exit. Final counter values
+  // by the stepper and credited in bulk when it returns. Final counter values
   // match a per-cycle run; only the increment order differs, and the counters
   // are only observable at step boundaries.
   void CreditHits(uint64_t n) { stats_.hits += n; }

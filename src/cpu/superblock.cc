@@ -8,7 +8,7 @@
 
 namespace msim {
 
-bool WindowSafeInstr(InstrKind kind) {
+bool TraceSafeInstr(InstrKind kind) {
   switch (kind) {
     case InstrKind::kLui:
     case InstrKind::kAuipc:
@@ -48,14 +48,6 @@ bool WindowSafeInstr(InstrKind kind) {
     case InstrKind::kDivu:
     case InstrKind::kRem:
     case InstrKind::kRemu:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool TraceSafeInstr(InstrKind kind) {
-  switch (kind) {
     case InstrKind::kLb:
     case InstrKind::kLh:
     case InstrKind::kLw:
@@ -66,7 +58,7 @@ bool TraceSafeInstr(InstrKind kind) {
     case InstrKind::kSw:
       return true;
     default:
-      return WindowSafeInstr(kind);
+      return false;
   }
 }
 
@@ -126,9 +118,8 @@ namespace {
 // A word the fetch unit could pull speculatively: aligned and below the MMIO
 // aperture (which also excludes the MRAM code range at 0xFFFF0000). Physical
 // bounds are checked separately on the RESOLVED address — with paging on the
-// two differ. Mirrors the per-cycle fetch eligibility check in
-// Core::StepFast (minus the icache probe, which is dynamic and verified at
-// every segment entry instead).
+// two differ. The icache probe is dynamic and verified at every segment
+// entry instead (Core::StepFast).
 bool FetchableVa(uint32_t addr) { return (addr & 3) == 0 && addr < kMmioBase; }
 
 bool FetchablePa(uint32_t paddr, uint32_t dram_size) {
@@ -162,9 +153,8 @@ bool SbAddrSpace::Resolve(uint32_t vaddr, uint32_t* paddr) const {
   return true;
 }
 
-SuperblockCache::SuperblockCache(bool enabled, uint32_t max_len)
-    : max_len_(max_len) {
-  if (!enabled || max_len < kSuperblockMinLen) {
+SuperblockCache::SuperblockCache(bool enabled) {
+  if (!enabled) {
     return;
   }
   traces_.resize(kSuperblockEntries);
@@ -272,7 +262,7 @@ uint32_t SuperblockCache::WalkSegment(uint32_t start, const PhysicalMemory& dram
     }
     return *pa - va == delta;
   };
-  while (slots->size() - base < max_len_) {
+  while (slots->size() - base < kSuperblockMaxLen) {
     uint32_t pa = 0;
     if (!resolve(addr, &pa)) {
       break;
@@ -355,7 +345,7 @@ Superblock* SuperblockCache::Build(uint32_t start, const PhysicalMemory& dram,
 }
 
 void SuperblockCache::MaybeGrow(Superblock& sb, const PhysicalMemory& dram,
-                                const SbAddrSpace& as, uint32_t max_trees) {
+                                const SbAddrSpace& as) {
   if (!sb.grow_pending) {
     return;
   }
@@ -365,9 +355,7 @@ void SuperblockCache::MaybeGrow(Superblock& sb, const PhysicalMemory& dram,
       sb.slots[slot_index].taken_seg != kSbSegUnlinked) {
     return;
   }
-  if (sb.segs.size() - 1 >= max_trees ||
-      sb.segs.size() >= kSuperblockMaxRestoreSegs ||
-      sb.segs.size() > static_cast<uint32_t>(INT16_MAX)) {
+  if (sb.segs.size() > kSuperblockMaxTrees) {
     // Over budget: freeze the branch's counters so it never re-arms growth.
     sb.slots[slot_index].taken_seg = kSbSegNoGrow;
     return;
@@ -402,7 +390,7 @@ void SuperblockCache::RegisterMetrics(MetricRegistry& registry) const {
   registry.Register("superblock", "builds", &stats_.builds,
                     "superblock traces constructed");
   registry.Register("superblock", "executions", &stats_.executions,
-                    "trace executions entered from the hot-path window");
+                    "trace entries at pipeline refill points");
   registry.Register("superblock", "chains", &stats_.chains,
                     "taken branches chained directly into a cached trace");
   registry.Register("superblock", "instructions", &stats_.instructions,
@@ -471,10 +459,9 @@ Status SuperblockCache::RestoreState(SnapReader& r) {
   if (!r.ok()) {
     return InvalidArgument("superblock section: truncated header");
   }
-  // v1 sections (rung 1) lead with the live-trace count, which is bounded by
-  // kSuperblockEntries and so can never collide with the v2 sentinel.
   if (first != kSuperblockSectionV2) {
-    return RestoreV1(first, r);
+    return InvalidArgument(
+        "superblock section: not the v2 format (the v1 format is no longer read)");
   }
   const uint32_t version = r.U32();
   if (!r.ok() || version != 2) {
@@ -585,61 +572,6 @@ Status SuperblockCache::RestoreState(SnapReader& r) {
   stats_.mem_slow_exits = r.U64();
   stats_.tree_grows = r.U64();
   stats_.tree_transitions = r.U64();
-  return r.ToStatus("superblock counters");
-}
-
-Status SuperblockCache::RestoreV1(uint32_t live, SnapReader& r) {
-  if (live > kSuperblockEntries) {
-    return InvalidArgument("superblock section: bad trace count");
-  }
-  for (uint32_t i = 0; i < live; ++i) {
-    const uint32_t start = r.U32();
-    const uint32_t exec_len = r.U32();
-    const uint32_t len = r.U32();
-    if (!r.ok() || exec_len < kSuperblockMinLen || len < exec_len ||
-        len > exec_len + 2 || len > kSuperblockMaxRestoreLen || (start & 3) != 0) {
-      return InvalidArgument("superblock section: bad trace geometry");
-    }
-    std::vector<SbSlot> slots;
-    slots.reserve(len);
-    for (uint32_t j = 0; j < len; ++j) {
-      const uint32_t raw = r.U32();
-      const uint32_t addr = start + 4 * j;
-      const Decoded d = DecodeInstr(raw);
-      SbSlot slot;
-      if (j < exec_len) {
-        if (!TranslateSlot(d, addr, raw, &slot)) {
-          return InvalidArgument("superblock section: untranslatable slot");
-        }
-      } else {
-        slot.exec = SbExec::kFence;
-        slot.addr = addr;
-        slot.raw = raw;
-        slot.d = d;
-      }
-      slots.push_back(slot);
-    }
-    ComputeStallAfter(slots, 0, exec_len);
-    MSIM_RETURN_IF_ERROR(r.ToStatus("superblock trace"));
-    if (traces_.empty()) {
-      continue;
-    }
-    Superblock& sb = traces_[Index(start)];
-    sb.valid = true;
-    sb.start = start;
-    sb.exec_len = exec_len;
-    sb.len = len;
-    sb.slots = std::move(slots);
-    sb.segs.assign(1, SbSegment{start, 0, exec_len, len});
-    sb.grow_pending = false;
-    sb.grow_slot = 0;
-  }
-  stats_.builds = r.U64();
-  stats_.executions = r.U64();
-  stats_.chains = r.U64();
-  stats_.instructions = r.U64();
-  stats_.invalidations = r.U64();
-  stats_.evictions = r.U64();
   return r.ToStatus("superblock counters");
 }
 

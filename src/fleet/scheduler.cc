@@ -39,11 +39,6 @@ uint64_t FileSize(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size) : 0;
 }
 
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
 // POSIX-shell single quoting for repro.sh.
 std::string ShellQuote(const std::string& arg) {
   std::string quoted = "'";

@@ -46,7 +46,7 @@ class Cache {
 
   // Hot-path port (Core::StepFast): once Probe confirmed residency, Access
   // would only count a hit and return hit_latency_ — the stepper counts the
-  // hits locally and credits them in bulk at window exit.
+  // hits locally and credits them in bulk when it returns.
   void CreditHits(uint64_t n) { stats_.hits += n; }
 
   void InvalidateAll();

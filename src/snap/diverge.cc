@@ -177,10 +177,11 @@ Result<DivergenceReport> RunRetireLockstep(MetalSystem& sys_a, MetalSystem& sys_
   const uint64_t start_a = a.cycle();
   const uint64_t start_b = b.cycle();
   // A fast_step core is pumped through StepFast so the compare actually
-  // exercises the hot path (that is the whole point of the fast-vs-slow
+  // exercises the trace tier (that is the whole point of the fast-vs-slow
   // oracle); max_retires bounds how far past the first retirement it can run
-  // so the record deques stay small. StepFast refuses ineligible states, so
-  // the StepCycle fallback below stays the reference.
+  // so the record deques stay small. StepFast enters only at pipeline refill
+  // points and refuses every other state, so the StepCycle fallback below
+  // stays the reference.
   auto pump = [max_cycles](Core& core, std::deque<RetireRecord>& records,
                            uint64_t start) {
     while (records.empty() && !Finished(core) && core.cycle() - start < max_cycles) {

@@ -4,7 +4,9 @@
 // (true negative), and the retire-granularity canonicalization must make
 // storage/transition modes architecturally invisible.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -12,6 +14,7 @@
 #include "fault/fault.h"
 #include "metal/system.h"
 #include "snap/diverge.h"
+#include "support/exit_codes.h"
 #include "tests/sim_test_util.h"
 
 namespace msim {
@@ -185,6 +188,27 @@ TEST(DivergenceReportTest, JsonAndTextIncludeTheDiff) {
   WriteDivergenceText(*report, text);
   EXPECT_NE(text.str().find("cycle 100"), std::string::npos);
   EXPECT_NE(text.str().find("m3"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The msim CLI: `run` and `replay` share one machine-flag parser.
+
+int RunMsim(const std::string& args) {
+  const std::string command = std::string(MSIM_CLI_PATH) + " " + args + " 2>/dev/null";
+  const int raw = std::system(command.c_str());
+  return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+}
+
+TEST(MsimCliTest, RunAndReplayRejectTheSameMalformedMachineFlags) {
+  // Parsing fails before the program is read, so no program file is needed;
+  // a flag that slipped through would exit 1 (program not found) instead.
+  const char* kBadFlags[] = {"--watchdog x", "--storage bogus", "--no-superblocks"};
+  for (const char* flags : kBadFlags) {
+    SCOPED_TRACE(flags);
+    EXPECT_EQ(RunMsim(std::string("run missing.s ") + flags), kExitUsage);
+    EXPECT_EQ(RunMsim(std::string("replay missing.s --until-divergence ") + flags),
+              kExitUsage);
+  }
 }
 
 }  // namespace

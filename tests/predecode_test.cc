@@ -67,8 +67,8 @@ CoreConfig ReferenceConfig() {
 // StepFast byte-exactness.
 // ---------------------------------------------------------------------------
 
-// ALU/branch loop interleaved with loads and stores: windows open over the
-// inner loop and break on every memory access and at the taken-branch refills.
+// ALU/branch loop interleaved with loads and stores: traces run the inner
+// loop, chain on its back edge and carry the loads and stores.
 constexpr const char* kMixedProgram = R"(
   _start:
     la s2, counter
@@ -107,7 +107,7 @@ TEST(FastStepTest, ByteExactAgainstPerCycleAtManySyncPoints) {
   RecordRetires(fast, &fast_retires);
   RecordRetires(slow, &slow_retires);
 
-  // Deliberately awkward chunk sizes so sync points land inside windows, on
+  // Deliberately awkward chunk sizes so sync points land inside traces, on
   // taken branches and mid-refill. CoreConfigHash excludes fast_step, so the
   // SaveState streams (and hence digests) are comparable across the pair.
   const uint64_t kChunks[] = {1, 2, 3, 7, 64, 129, 1000, 4096, 977, 50000};
@@ -225,10 +225,10 @@ TEST(FastStepTest, SingleCycleLockstepHoldsAtEveryHorizonBoundary) {
   // Horizon audit regression: pump the fast core ONE cycle at a time
   // (StepFast(1) with the StepCycle fallback, exactly the diverge-pump
   // shape) against a per-cycle core, with a short-interval timer so device
-  // horizons land on every possible window phase — mid-trace, on chained
-  // back edges, during refills. A window or trace that commits even one
-  // cycle at or past its horizon shows up as a digest mismatch at that
-  // exact cycle instead of a smeared end-of-run failure.
+  // horizons land on every possible trace phase — mid-trace, on chained
+  // back edges, during refills. A trace that commits even one cycle at or
+  // past its horizon shows up as a digest mismatch at that exact cycle
+  // instead of a smeared end-of-run failure.
   auto boot = [](Core& core) {
     MustLoadMcodeRaw(core, kTimerHandler);
     ASSERT_OK(core.LoadProgram(MustAssemble(R"(
@@ -245,7 +245,7 @@ TEST(FastStepTest, SingleCycleLockstepHoldsAtEveryHorizonBoundary) {
     core.timer().Write32(4, 97);
     core.timer().Write32(8, 1);
   };
-  Core fast;  // defaults: fast_step + superblocks
+  Core fast;  // defaults: fast_step on
   CoreConfig slow_config;
   slow_config.fast_step = false;
   Core slow(slow_config);

@@ -2,12 +2,11 @@
 //
 // The tier is "invisible by construction", one rung above the predecode
 // cache: N cycles through chained trace execution must leave machine state
-// byte-identical to N cycles of the plain fast-step window AND to N
-// Core::StepCycle calls. The tests mirror predecode_test.cc's structure —
-// digest matrices at awkward sync points, an invalidation matrix against
-// every coherence source, and snapshot round trips — with the superblock
-// cache's own counters checked on the side so none of the parity checks can
-// pass vacuously with the tier disabled.
+// byte-identical to N Core::StepCycle calls. The tests mirror
+// predecode_test.cc's structure — digest matrices at awkward sync points, an
+// invalidation matrix against every coherence source, and snapshot round
+// trips — with the superblock cache's own counters checked on the side so
+// none of the parity checks can pass vacuously with the tier idle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -56,13 +55,7 @@ void ExpectSameRetires(const std::vector<Retire>& a, const std::vector<Retire>& 
 }
 
 // Identical geometry everywhere so SaveState streams (and digests) compare;
-// only the stepping tier under test varies.
-CoreConfig NoSuperblockConfig() {
-  CoreConfig config;
-  config.superblocks = false;
-  return config;
-}
-
+// only the stepping mode varies.
 CoreConfig PerCycleConfig() {
   CoreConfig config;
   config.fast_step = false;
@@ -95,64 +88,101 @@ constexpr const char* kMixedProgram = R"(
     .word 0
 )";
 
+// Accumulates into MRAM data with mld/mst (same mroutine as predecode_test):
+// MRAM activity alongside hot DRAM traces.
+constexpr const char* kCounterMcode = R"(
+    .mentry 1, count_add
+  count_add:
+    mld t0, 0(zero)
+    add t0, t0, a0
+    mst t0, 0(zero)
+    mv a0, t0
+    mexit
+)";
+
+// The spin loop keeps a hot DRAM trace alive between mroutine invocations
+// (the taken back edge drains the pipeline, so the tier builds and chains
+// there); `menter` itself is never part of a trace, and the return from
+// Metal mode continues per cycle until the next refill point.
+constexpr const char* kLongCounterProgram = R"(
+  _start:
+    li s0, 400
+    li s1, 0
+  loop:
+    li t3, 8
+  spin:
+    addi t3, t3, -1
+    bne t3, zero, spin
+    li a0, 7
+    menter 1
+    mv s1, a0
+    addi s0, s0, -1
+    bne s0, zero, loop
+    halt s1
+)";
+
 // ---------------------------------------------------------------------------
-// Byte-exactness across all three stepping tiers.
+// Byte-exactness: traced vs per-cycle stepping.
 // ---------------------------------------------------------------------------
 
-TEST(SuperblockTest, ByteExactAgainstWindowAndPerCycleAtManySyncPoints) {
-  Core traced;  // defaults: superblocks on
-  Core window(NoSuperblockConfig());
-  Core percycle(PerCycleConfig());
-  const Program program = MustAssemble(kMixedProgram);
-  for (Core* core : {&traced, &window, &percycle}) {
-    ASSERT_OK(core->LoadProgram(program));
-  }
-  std::vector<Retire> a, b, c;
-  RecordRetires(traced, &a);
-  RecordRetires(window, &b);
-  RecordRetires(percycle, &c);
+TEST(SuperblockTest, ByteExactAgainstPerCycleAtManySyncPoints) {
+  struct Case {
+    const char* name;
+    const char* program;
+    const char* mcode;  // nullptr: no mroutines
+  };
+  const Case kCases[] = {
+      {"mixed", kMixedProgram, nullptr},
+      {"menter-loop", kLongCounterProgram, kCounterMcode},
+  };
+  for (const Case& test_case : kCases) {
+    SCOPED_TRACE(test_case.name);
+    Core traced;  // defaults: fast_step on
+    Core percycle(PerCycleConfig());
+    const Program program = MustAssemble(test_case.program);
+    for (Core* core : {&traced, &percycle}) {
+      if (test_case.mcode != nullptr) {
+        MustLoadMcodeRaw(*core, test_case.mcode);
+      }
+      ASSERT_OK(core->LoadProgram(program));
+    }
+    std::vector<Retire> a, b;
+    RecordRetires(traced, &a);
+    RecordRetires(percycle, &b);
 
-  // Deliberately awkward chunk sizes so sync points land mid-trace, on
-  // chained back edges and inside the two-cycle refill. Neither superblocks
-  // nor fast_step joins CoreConfigHash, so the digests are comparable.
-  const uint64_t kChunks[] = {1, 2, 3, 7, 64, 129, 1000, 4096, 977, 50000};
-  uint64_t at = 0;
-  for (const uint64_t chunk : kChunks) {
-    traced.Run(chunk);
-    window.Run(chunk);
-    percycle.Run(chunk);
-    at += chunk;
-    ASSERT_EQ(traced.cycle(), window.cycle()) << "after " << at << " cycles";
-    ASSERT_EQ(traced.cycle(), percycle.cycle()) << "after " << at << " cycles";
-    ASSERT_EQ(traced.StateDigest(/*include_dram=*/true),
-              window.StateDigest(/*include_dram=*/true))
-        << "trace tier diverged from the window by cycle " << at;
-    ASSERT_EQ(traced.StateDigest(true), percycle.StateDigest(true))
-        << "trace tier diverged from per-cycle by cycle " << at;
-  }
-  const RunResult rt = traced.Run(2'000'000);
-  const RunResult rw = window.Run(2'000'000);
-  const RunResult rp = percycle.Run(2'000'000);
-  EXPECT_EQ(rt.reason, RunResult::Reason::kHalted);
-  EXPECT_EQ(rw.reason, RunResult::Reason::kHalted);
-  EXPECT_EQ(rp.reason, RunResult::Reason::kHalted);
-  EXPECT_EQ(rt.exit_code, rw.exit_code);
-  EXPECT_EQ(rt.exit_code, rp.exit_code);
-  EXPECT_EQ(traced.StateDigest(true), window.StateDigest(true));
-  ExpectSameRetires(a, b);
-  ExpectSameRetires(a, c);
+    // Deliberately awkward chunk sizes so sync points land mid-trace, on
+    // chained back edges and inside the two-cycle refill. fast_step does not
+    // join CoreConfigHash, so the digests are comparable.
+    const uint64_t kChunks[] = {1, 2, 3, 7, 64, 129, 1000, 4096, 977, 50000};
+    uint64_t at = 0;
+    for (const uint64_t chunk : kChunks) {
+      traced.Run(chunk);
+      percycle.Run(chunk);
+      at += chunk;
+      ASSERT_EQ(traced.cycle(), percycle.cycle()) << "after " << at << " cycles";
+      ASSERT_EQ(traced.StateDigest(/*include_dram=*/true),
+                percycle.StateDigest(/*include_dram=*/true))
+          << "trace tier diverged from per-cycle by cycle " << at;
+    }
+    const RunResult rt = traced.Run(2'000'000);
+    const RunResult rp = percycle.Run(2'000'000);
+    EXPECT_EQ(rt.reason, RunResult::Reason::kHalted);
+    EXPECT_EQ(rp.reason, RunResult::Reason::kHalted);
+    EXPECT_EQ(rt.exit_code, rp.exit_code);
+    EXPECT_EQ(traced.StateDigest(true), percycle.StateDigest(true));
+    ExpectSameRetires(a, b);
 
-  // The parity above actually exercised the tier: traces built, executed,
-  // chained on the inner loop's back edge, and retired the bulk of the run.
-  const SuperblockStats& stats = traced.superblocks().stats();
-  EXPECT_GT(stats.builds, 0u);
-  EXPECT_GT(stats.executions, 0u);
-  EXPECT_GT(stats.chains, 0u);
-  EXPECT_GT(stats.instructions, 0u);
-  EXPECT_LE(stats.instructions, traced.stats().instret);
-  // And the control cores never ran it.
-  EXPECT_EQ(window.superblocks().stats().executions, 0u);
-  EXPECT_EQ(percycle.superblocks().stats().executions, 0u);
+    // The parity above actually exercised the tier: traces built, executed,
+    // chained on the loop's back edge, and retired part of the run.
+    const SuperblockStats& stats = traced.superblocks().stats();
+    EXPECT_GT(stats.builds, 0u);
+    EXPECT_GT(stats.executions, 0u);
+    EXPECT_GT(stats.chains, 0u);
+    EXPECT_GT(stats.instructions, 0u);
+    EXPECT_LE(stats.instructions, traced.stats().instret);
+    // And the control core never ran it.
+    EXPECT_EQ(percycle.superblocks().stats().executions, 0u);
+  }
 }
 
 // Counts timer interrupts in MRAM data[0] (same handler as interrupt_test).
@@ -174,9 +204,9 @@ constexpr const char* kTimerHandler = R"(
 
 TEST(SuperblockTest, ByteExactWithTimerInterruptsAcrossHorizons) {
   // Satellite regression for the horizon audit: a chained trace must never
-  // commit a cycle at or past the device-event horizon computed at window
-  // entry, so every interrupt is taken at exactly the cycle the plain
-  // window (and per-cycle core) takes it.
+  // commit a cycle at or past the device-event horizon computed at StepFast
+  // entry, so every interrupt is taken at exactly the cycle the per-cycle
+  // core takes it.
   auto boot = [](Core& core) {
     MustLoadMcodeRaw(core, kTimerHandler);
     ASSERT_OK(core.LoadProgram(MustAssemble(R"(
@@ -194,46 +224,52 @@ TEST(SuperblockTest, ByteExactWithTimerInterruptsAcrossHorizons) {
     core.timer().Write32(8, 1);     // enable
   };
   Core traced;
-  Core window(NoSuperblockConfig());
+  Core percycle(PerCycleConfig());
   boot(traced);
-  boot(window);
+  boot(percycle);
 
   const uint64_t kChunks[] = {500, 333, 1024, 10000, 50000};
   for (const uint64_t chunk : kChunks) {
     traced.Run(chunk);
-    window.Run(chunk);
-    ASSERT_EQ(traced.cycle(), window.cycle());
-    ASSERT_EQ(traced.StateDigest(true), window.StateDigest(true))
+    percycle.Run(chunk);
+    ASSERT_EQ(traced.cycle(), percycle.cycle());
+    ASSERT_EQ(traced.StateDigest(true), percycle.StateDigest(true))
         << "diverged by cycle " << traced.cycle();
   }
   const RunResult rt = traced.Run(2'000'000);
-  const RunResult rw = window.Run(2'000'000);
+  const RunResult rp = percycle.Run(2'000'000);
   EXPECT_EQ(rt.reason, RunResult::Reason::kHalted);
-  EXPECT_EQ(rw.reason, RunResult::Reason::kHalted);
-  EXPECT_EQ(traced.stats().interrupts, window.stats().interrupts);
+  EXPECT_EQ(rp.reason, RunResult::Reason::kHalted);
+  EXPECT_EQ(traced.stats().interrupts, percycle.stats().interrupts);
   EXPECT_GE(traced.stats().interrupts, 10u);
-  EXPECT_EQ(traced.StateDigest(true), window.StateDigest(true));
+  EXPECT_EQ(traced.StateDigest(true), percycle.StateDigest(true));
   EXPECT_GT(traced.superblocks().stats().chains, 0u);
 }
 
-TEST(SuperblockTest, MaxLenKnobGatesAndBoundsTraces) {
-  // Below kSuperblockMinLen the tier shuts off entirely; at the minimum it
-  // still runs. Either way behavior is byte-exact (guaranteed by the matrix
-  // above; here the knob wiring itself is under test).
-  CoreConfig off_config;
-  off_config.superblock_max_len = 1;
-  Core off(off_config);
-  CoreConfig tiny_config;
-  tiny_config.superblock_max_len = 2;
-  Core tiny(tiny_config);
-  const Program program = MustAssemble(kMixedProgram);
-  ASSERT_OK(off.LoadProgram(program));
-  ASSERT_OK(tiny.LoadProgram(program));
-  MustHalt(off, 400);
-  MustHalt(tiny, 400);
-  EXPECT_FALSE(off.superblocks().enabled());
-  EXPECT_EQ(off.superblocks().stats().executions, 0u);
-  EXPECT_GT(tiny.superblocks().stats().executions, 0u);
+TEST(SuperblockTest, TracesAreBoundedByMaxLen) {
+  // A loop body longer than kSuperblockMaxLen: the trace at the loop head
+  // stops at exactly the bound, and the rest of the body runs per cycle.
+  std::string source = "_start:\n  li t0, 50\nloop:\n";
+  for (uint32_t i = 0; i < 2 * kSuperblockMaxLen; ++i) {
+    source += "  addi a0, a0, 1\n";
+  }
+  source += "  addi t0, t0, -1\n  bnez t0, loop\n  halt zero\n";
+  const Program program = MustAssemble(source);
+  Core traced;
+  Core percycle(PerCycleConfig());
+  ASSERT_OK(traced.LoadProgram(program));
+  ASSERT_OK(percycle.LoadProgram(program));
+  MustHalt(traced, 0);
+  MustHalt(percycle, 0);
+  EXPECT_EQ(traced.StateDigest(true), percycle.StateDigest(true));
+
+  const Superblock* head = traced.superblocks().Lookup(program.symbols.at("loop"));
+  ASSERT_NE(head, nullptr);
+  EXPECT_EQ(head->exec_len, kSuperblockMaxLen);
+  for (const SbSegment& seg : head->segs) {
+    EXPECT_LE(seg.exec_len, kSuperblockMaxLen);
+  }
+  EXPECT_GT(traced.superblocks().stats().executions, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -266,15 +302,15 @@ constexpr const char* kSelfModifyingProgram = R"(
 
 TEST(SuperblockInvalidationTest, SelfModifyingStoreKillsAffectedTrace) {
   Core traced;  // defaults
-  Core window(NoSuperblockConfig());
+  Core percycle(PerCycleConfig());
   ASSERT_OK(traced.LoadProgram(MustAssemble(kSelfModifyingProgram)));
-  ASSERT_OK(window.LoadProgram(MustAssemble(kSelfModifyingProgram)));
+  ASSERT_OK(percycle.LoadProgram(MustAssemble(kSelfModifyingProgram)));
   std::vector<Retire> a, b;
   RecordRetires(traced, &a);
-  RecordRetires(window, &b);
+  RecordRetires(percycle, &b);
   // 3 iterations of +1, then the patched +5 for the remaining 3.
   MustHalt(traced, 18);
-  MustHalt(window, 18);
+  MustHalt(percycle, 18);
   ExpectSameRetires(a, b);
   // The store bumped the DRAM write generation; the per-fetch raw-word
   // revalidation must have caught the stale slot and killed its trace.
@@ -283,7 +319,7 @@ TEST(SuperblockInvalidationTest, SelfModifyingStoreKillsAffectedTrace) {
 }
 
 // A store *inside* the straight line that targets a word a couple of slots
-// AHEAD of it in the same trace. With rung-2 memory slots the sw executes on
+// AHEAD of it in the same trace. With memory slots the sw executes on
 // the trace fast path as a pending MemOp; the very next trace fetch of the
 // patched word must see the store's bytes (the pending-store fetch-merge
 // path), detect the raw-word mismatch, and exit + invalidate before the
@@ -312,27 +348,24 @@ constexpr const char* kStoreAheadProgram = R"(
 
 TEST(SuperblockInvalidationTest, StoreIntoExecutingTraceAheadOfPcIsByteExact) {
   Core traced;  // defaults
-  Core window(NoSuperblockConfig());
   Core percycle(PerCycleConfig());
   const Program program = MustAssemble(kStoreAheadProgram);
-  std::vector<Retire> a, b, c;
+  std::vector<Retire> a, b;
   RecordRetires(traced, &a);
-  RecordRetires(window, &b);
-  RecordRetires(percycle, &c);
+  RecordRetires(percycle, &b);
   std::vector<RunResult> results;
-  for (Core* core : {&traced, &window, &percycle}) {
+  for (Core* core : {&traced, &percycle}) {
     ASSERT_OK(core->LoadProgram(program));
     results.push_back(core->Run(100000));
   }
   // The per-cycle machine defines whether the patched word is visible on the
-  // patching iteration itself; the tiers must agree byte-for-byte rather
-  // than match a hand-computed constant.
+  // patching iteration itself; the traced run must agree byte-for-byte
+  // rather than match a hand-computed constant.
   for (const RunResult& r : results) {
     EXPECT_EQ(r.reason, RunResult::Reason::kHalted);
     EXPECT_EQ(r.exit_code, results[0].exit_code);
   }
   ExpectSameRetires(a, b);
-  ExpectSameRetires(a, c);
   EXPECT_GT(traced.superblocks().stats().executions, 0u);
   EXPECT_GT(traced.superblocks().stats().mem_fast_hits, 0u);
   EXPECT_GT(traced.superblocks().stats().invalidations, 0u);
@@ -342,7 +375,7 @@ TEST(SuperblockInvalidationTest, StoreIntoExecutingTraceAheadOfPcIsByteExact) {
 // mapping, so the next trace entry reaches its lw slot with ProbeTranslate
 // missing — the memory slot must force a slow exit (uncommitted) and replay
 // per-cycle, where the architectural TLB miss fires and the delegated
-// handler refills. Byte-exact against the window and per-cycle references.
+// handler refills. Byte-exact against the per-cycle reference.
 constexpr const char* kTlbEvictMcode = R"(
     .mentry 10, tlb_miss
   tlb_miss:
@@ -384,17 +417,13 @@ constexpr const char* kTlbEvictProgram = R"(
 )";
 
 TEST(SuperblockInvalidationTest, TlbEvictionForcesMidTraceSlowExit) {
-  CoreConfig traced_config;
-  CoreConfig window_config = NoSuperblockConfig();
-  CoreConfig percycle_config = PerCycleConfig();
-  MetalSystem traced(traced_config);
-  MetalSystem window(window_config);
-  MetalSystem percycle(percycle_config);
-  std::vector<Retire> a, b, c;
-  std::vector<Retire>* streams[] = {&a, &b, &c};
-  MetalSystem* systems[] = {&traced, &window, &percycle};
+  MetalSystem traced;
+  MetalSystem percycle(PerCycleConfig());
+  std::vector<Retire> a, b;
+  std::vector<Retire>* streams[] = {&a, &b};
+  MetalSystem* systems[] = {&traced, &percycle};
   std::vector<RunResult> results;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 2; ++i) {
     MetalSystem& s = *systems[i];
     s.AddMcode(kTlbEvictMcode);
     ASSERT_OK(s.LoadProgramSource(kTlbEvictProgram));
@@ -412,45 +441,12 @@ TEST(SuperblockInvalidationTest, TlbEvictionForcesMidTraceSlowExit) {
     EXPECT_EQ(r.exit_code, results[0].exit_code);
   }
   ExpectSameRetires(a, b);
-  ExpectSameRetires(a, c);
   // The hot spin loop's memory slots ran the fast path between evictions and
   // hit the missing-translation slow exit right after each one.
   EXPECT_GT(traced.core().superblocks().stats().executions, 0u);
   EXPECT_GT(traced.core().superblocks().stats().mem_fast_hits, 0u);
   EXPECT_GT(traced.core().superblocks().stats().mem_slow_exits, 0u);
 }
-
-// Accumulates into MRAM data with mld/mst (same mroutine as predecode_test):
-// MRAM activity alongside hot DRAM traces.
-constexpr const char* kCounterMcode = R"(
-    .mentry 1, count_add
-  count_add:
-    mld t0, 0(zero)
-    add t0, t0, a0
-    mst t0, 0(zero)
-    mv a0, t0
-    mexit
-)";
-
-// The spin loop keeps a hot DRAM trace alive between mroutine invocations
-// (the taken back edge drains the pipeline, so the tier builds and chains
-// there); `menter` itself is never part of a trace.
-constexpr const char* kLongCounterProgram = R"(
-  _start:
-    li s0, 400
-    li s1, 0
-  loop:
-    li t3, 8
-  spin:
-    addi t3, t3, -1
-    bne t3, zero, spin
-    li a0, 7
-    menter 1
-    mv s1, a0
-    addi s0, s0, -1
-    bne s0, zero, loop
-    halt s1
-)";
 
 TEST(SuperblockInvalidationTest, MramScrubMatchesNoTraceReference) {
   // Traces never contain MRAM code (the tier only runs outside Metal mode
@@ -459,18 +455,18 @@ TEST(SuperblockInvalidationTest, MramScrubMatchesNoTraceReference) {
   // retire streams identical with and without the tier.
   CoreConfig traced_config;
   traced_config.mram_parity = false;
-  CoreConfig window_config = NoSuperblockConfig();
-  window_config.mram_parity = false;
+  CoreConfig percycle_config = PerCycleConfig();
+  percycle_config.mram_parity = false;
   MetalSystem traced(traced_config);
-  MetalSystem window(window_config);
-  for (MetalSystem* s : {&traced, &window}) {
+  MetalSystem percycle(percycle_config);
+  for (MetalSystem* s : {&traced, &percycle}) {
     s->AddMcode(kCounterMcode);
     ASSERT_OK(s->LoadProgramSource(kLongCounterProgram));
     ASSERT_OK(s->Boot());
   }
   std::vector<Retire> a, b;
   RecordRetires(traced.core(), &a);
-  RecordRetires(window.core(), &b);
+  RecordRetires(percycle.core(), &b);
   auto drive = [](MetalSystem& s) -> RunResult {
     s.Run(1500);
     // Flip `add t0, t0, a0` (second mroutine word) into `sub`.
@@ -480,7 +476,7 @@ TEST(SuperblockInvalidationTest, MramScrubMatchesNoTraceReference) {
     return s.Run(2'000'000);
   };
   const RunResult ra = drive(traced);
-  const RunResult rb = drive(window);
+  const RunResult rb = drive(percycle);
   EXPECT_EQ(ra.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(rb.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(ra.exit_code, rb.exit_code);
@@ -490,10 +486,10 @@ TEST(SuperblockInvalidationTest, MramScrubMatchesNoTraceReference) {
 
 TEST(SuperblockInvalidationTest, FaultEngineAttachDisablesTraceExecution) {
   // An attached fault engine can flip any word at any cycle, behind every
-  // generation counter. StepFast refuses the whole window in that case —
-  // and the superblock tier with it. Regression for the entry guard: the
+  // generation counter. StepFast refuses to run at all in that case.
+  // Regression for the entry guard: the
   // counters must stay zero and behavior must match the per-cycle reference.
-  MetalSystem traced;  // defaults: superblocks on
+  MetalSystem traced;  // defaults: fast_step on
   MetalSystem reference(PerCycleConfig());
   FaultEngine traced_engine(/*seed=*/7);
   FaultEngine reference_engine(/*seed=*/7);
@@ -526,8 +522,8 @@ TEST(SuperblockSnapshotTest, RestoreMidLoopResumesIdentically) {
   // portable across stepping modes); restore invalidates the cache and the
   // tier rebuilds deterministically. The continuation retire stream of the
   // restored machine must equal the uninterrupted one — including into a
-  // core with the tier off, and a per-cycle core.
-  Core original;  // defaults: superblocks on
+  // per-cycle core.
+  Core original;  // defaults: fast_step on
   ASSERT_OK(original.LoadProgram(MustAssemble(kMixedProgram)));
   original.Run(1234);  // mid-loop, trace cache warm
   const std::vector<uint8_t> image = SaveSnapshot(original);
@@ -550,7 +546,6 @@ TEST(SuperblockSnapshotTest, RestoreMidLoopResumesIdentically) {
     ExpectSameRetires(rest_of_original, rest);
   };
   resume(CoreConfig{});
-  resume(NoSuperblockConfig());
   resume(PerCycleConfig());
 }
 
@@ -568,7 +563,7 @@ TEST(SuperblockSnapshotTest, SaveRestoreRoundTripIsByteIdentical) {
   core.superblocks().SaveState(first);
   const std::vector<uint8_t> bytes = first.TakeBytes();
 
-  SuperblockCache restored(/*enabled=*/true, /*max_len=*/64);
+  SuperblockCache restored(/*enabled=*/true);
   SnapReader reader(bytes);
   ASSERT_OK(restored.RestoreState(reader));
   SnapWriter second;
@@ -578,7 +573,7 @@ TEST(SuperblockSnapshotTest, SaveRestoreRoundTripIsByteIdentical) {
   // Restoring into a core with the tier disabled keeps the counters (the
   // executor never runs, so --stats-json stays byte-identical) but drops
   // the traces.
-  SuperblockCache disabled(/*enabled=*/false, /*max_len=*/64);
+  SuperblockCache disabled(/*enabled=*/false);
   SnapReader reader2(bytes);
   ASSERT_OK(disabled.RestoreState(reader2));
   EXPECT_EQ(disabled.stats().builds, core.superblocks().stats().builds);
@@ -588,38 +583,62 @@ TEST(SuperblockSnapshotTest, SaveRestoreRoundTripIsByteIdentical) {
 }
 
 TEST(SuperblockSnapshotTest, RestoreRejectsCorruptSections) {
-  SuperblockCache cache(/*enabled=*/true, /*max_len=*/64);
+  SuperblockCache cache(/*enabled=*/true);
+  const auto rejects = [&cache](SnapWriter& w) {
+    const std::vector<uint8_t> bytes = w.TakeBytes();
+    SnapReader r(bytes);
+    return !cache.RestoreState(r).ok();
+  };
+  // v2 header plus one trace whose segment table starts at `start`.
+  const auto trace_header = [](SnapWriter& w, uint32_t start) {
+    w.U32(kSuperblockSectionV2);
+    w.U32(2);  // version
+    w.U32(1);  // live traces
+    w.U32(start);
+    w.U32(1);  // segments
+  };
   {
     // Trace count past the cache geometry.
     SnapWriter w;
+    w.U32(kSuperblockSectionV2);
+    w.U32(2);
     w.U32(kSuperblockEntries + 1);
-    const std::vector<uint8_t> bytes = w.TakeBytes();
-    SnapReader r(bytes);
-    EXPECT_FALSE(cache.RestoreState(r).ok());
+    EXPECT_TRUE(rejects(w));
   }
   {
     // Geometry that claims fewer total slots than executable ones.
     SnapWriter w;
-    w.U32(1);
-    w.U32(0x1000);  // start
+    trace_header(w, 0x1000);
+    w.U32(0x1000);  // segment start
     w.U32(4);       // exec_len
     w.U32(3);       // len < exec_len
-    const std::vector<uint8_t> bytes = w.TakeBytes();
-    SnapReader r(bytes);
-    EXPECT_FALSE(cache.RestoreState(r).ok());
+    EXPECT_TRUE(rejects(w));
   }
   {
-    // An executable slot whose raw word is not window-safe (a load).
+    // An executable slot whose raw word is not trace-safe (ecall).
     SnapWriter w;
-    w.U32(1);
-    w.U32(0x1000);      // start
+    trace_header(w, 0x1000);
+    w.U32(0x1000);      // segment start
     w.U32(2);           // exec_len
     w.U32(2);           // len
     w.U32(0x00000013);  // addi x0, x0, 0 — fine
-    w.U32(0x00002003);  // lw x0, 0(x0) — untranslatable
-    const std::vector<uint8_t> bytes = w.TakeBytes();
-    SnapReader r(bytes);
-    EXPECT_FALSE(cache.RestoreState(r).ok());
+    w.U32(0x00000073);  // ecall — untranslatable
+    EXPECT_TRUE(rejects(w));
+  }
+  {
+    // A well-formed section in the retired v1 format (live count, then
+    // start/exec_len/len, raw words and six counters): no longer read.
+    SnapWriter w;
+    w.U32(1);           // live traces
+    w.U32(0x1000);      // start
+    w.U32(2);           // exec_len
+    w.U32(2);           // len
+    w.U32(0x00000013);  // addi x0, x0, 0
+    w.U32(0x00000013);
+    for (int i = 0; i < 6; ++i) {
+      w.U64(0);
+    }
+    EXPECT_TRUE(rejects(w));
   }
 }
 

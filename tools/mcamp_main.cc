@@ -8,7 +8,7 @@
 //   --mcheck-entry N    delegate machine checks to mroutine entry N
 //   --storage MODE      mram | dram-cached | dram-uncached
 //   --no-fast           disable decode-stage menter/mexit replacement
-//   --no-fast-step      disable batched hot-path stepping
+//   --no-fast-step      disable hot-path (superblock trace) stepping
 //   --no-parity         disable the MRAM parity model (the ablation arm of
 //                       the parity-on/off headline experiment)
 //   --watchdog N        Metal-mode watchdog budget in cycles (0 = off)

@@ -12,7 +12,10 @@
 //                stream (Metal-mode pc-insensitive): storage mode must be
 //                architecturally invisible;
 //   fast         fast vs. slow menter/mexit transitions, compared by retire
-//                stream with transition retires canonicalized away.
+//                stream with transition retires canonicalized away;
+//   faststep     hot-path stepping (superblock traces) vs. the per-cycle
+//                StepCycle reference, compared by retire stream with no
+//                canonicalization: every retire, cycle included, must match.
 //
 // A fourth oracle, `injection` (not part of `all` — it tests the machine's
 // fault detection, not the simulator's determinism), runs each generated
@@ -68,8 +71,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: mfuzz [--seed N] [--runs N] [--time-budget-seconds N] "
                "[--max-cycles N]\n"
-               "             [--oracle all|determinism|storage|fast|faststep|superblock|"
-               "injection]\n"
+               "             [--oracle all|determinism|storage|fast|faststep|injection]\n"
                "             [--no-parity] [--out DIR]\n");
   return kExitUsage;
 }
@@ -332,17 +334,6 @@ std::vector<Oracle> BuildOracles(const std::string& which, const CoreConfig& bas
     o.options.max_cycles = max_cycles;
     oracles.push_back(o);
   }
-  if (which == "all" || which == "superblock") {
-    // Superblock trace execution vs the plain fast-step window. Byte-exact
-    // like faststep: no canonicalization, every retire (cycle included) must
-    // match. Catches trace-build, chaining and invalidation bugs that the
-    // faststep oracle would attribute to the whole hot path.
-    Oracle o{"superblock", base, base, {}};
-    o.config_b.superblocks = false;
-    o.options.granularity = CompareGranularity::kRetire;
-    o.options.max_cycles = max_cycles;
-    oracles.push_back(o);
-  }
   return oracles;
 }
 
@@ -424,8 +415,6 @@ int WriteArtifacts(const std::string& out_dir, uint64_t seed, const char* oracle
     b_flags = " --b-no-fast";
   } else if (std::strcmp(oracle_name, "faststep") == 0) {
     b_flags = " --b-no-fast-step";
-  } else if (std::strcmp(oracle_name, "superblock") == 0) {
-    b_flags = " --b-no-superblocks";
   }
   repro += StrFormat(
       "exec msim replay program.s --mcode mcode.s --until-divergence%s --max-cycles %llu\n",
@@ -604,11 +593,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--oracle" && i + 1 < args.size()) {
       oracle_name = args[++i];
       if (oracle_name != "all" && oracle_name != "determinism" && oracle_name != "storage" &&
-          oracle_name != "fast" && oracle_name != "faststep" && oracle_name != "superblock" &&
-          oracle_name != "injection") {
+          oracle_name != "fast" && oracle_name != "faststep" && oracle_name != "injection") {
         std::fprintf(stderr,
-                     "unknown oracle '%s' (want all, determinism, storage, fast, faststep, "
-                     "superblock or injection)\n",
+                     "unknown oracle '%s' (want all, determinism, storage, fast, faststep "
+                     "or injection)\n",
                      oracle_name.c_str());
         return 2;
       }

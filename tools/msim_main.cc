@@ -9,6 +9,8 @@
 //   --mcode FILE        install an mcode module (repeatable)
 //   --storage MODE      mram | dram-cached | dram-uncached
 //   --no-fast           disable decode-stage menter/mexit replacement
+//   --no-fast-step      step every cycle through the per-cycle reference
+//                       (no superblock traces)
 //   --max-cycles N        simulation budget (default 50M)
 //   --trace-stats         print detailed pipeline statistics
 //   --trace [N]           print the first N retired instructions (default 200)
@@ -46,8 +48,9 @@
 //   msim replay <program.s> [run options] --until-divergence [replay options]
 //     runs configuration A (the shared run options) in lockstep against a
 //     second configuration B derived from it (--b-storage / --b-fast /
-//     --b-no-fast / --b-inject / --b-fault-seed) and reports the first
-//     divergence. Exit: 0 = identical, 10 = divergence, 2 = usage, 1 = error.
+//     --b-no-fast / --b-no-fast-step / --b-inject / --b-fault-seed) and
+//     reports the first divergence. Exit: 0 = identical, 10 = divergence,
+//     2 = usage, 1 = error.
 //
 // Malformed numeric arguments exit with status 2. The program's exit code
 // (from `halt rs1`) becomes the process exit code; every other outcome uses
@@ -101,8 +104,7 @@ int Usage() {
                "usage:\n"
                "  msim run <program.s> [--mcode file.s]... [--storage mram|dram-cached|"
                "dram-uncached]\n"
-               "           [--no-fast] [--no-fast-step] [--no-superblocks]\n"
-               "           [--superblock-max-trees N] [--max-cycles N]\n"
+               "           [--no-fast] [--no-fast-step] [--max-cycles N]\n"
                "           [--trace-stats] [--trace [N]]\n"
                "           [--stats-json FILE] [--trace-json FILE] [--profile-mroutines]\n"
                "           [--inject SPEC]... [--list-fault-targets] [--fault-seed N]\n"
@@ -113,7 +115,7 @@ int Usage() {
                "  msim replay <program.s> [run options] --until-divergence\n"
                "           [--compare auto|cycle|retire] [--b-storage MODE] [--b-fast|"
                "--b-no-fast]\n"
-               "           [--b-fast-step|--b-no-fast-step] [--b-superblocks|--b-no-superblocks]\n"
+               "           [--b-fast-step|--b-no-fast-step]\n"
                "           [--b-inject SPEC]... [--b-fault-seed N] [--divergence-json FILE]\n"
                "  msim asm <file.s>\n"
                "  msim table2\n");
@@ -145,6 +147,57 @@ bool ParseStorageMode(const std::string& mode, MroutineStorage* out) {
     return false;
   }
   return true;
+}
+
+// Machine options shared by `run` and `replay` (for replay, configuration A).
+struct MachineFlags {
+  CoreConfig config;
+  std::vector<std::string> mcode_paths;
+  uint64_t max_cycles = 0;
+  std::vector<std::string> inject_specs;
+  uint64_t fault_seed = 0;
+};
+
+enum class FlagParse { kConsumed, kNotMine, kError };
+
+// Consumes args[*i] (and its value, advancing *i) when it is a shared machine
+// flag. kError means a malformed value, already reported; exit 2.
+FlagParse ParseMachineFlag(const std::vector<std::string>& args, size_t* i,
+                           MachineFlags* out) {
+  const std::string& arg = args[*i];
+  const bool has_value = *i + 1 < args.size();
+  if (arg == "--mcode" && has_value) {
+    out->mcode_paths.push_back(args[++*i]);
+  } else if (arg == "--storage" && has_value) {
+    const std::string& mode = args[++*i];
+    if (!ParseStorageMode(mode, &out->config.mroutine_storage)) {
+      std::fprintf(stderr, "unknown storage mode '%s'\n", mode.c_str());
+      return FlagParse::kError;
+    }
+  } else if (arg == "--no-fast") {
+    out->config.fast_transition = false;
+  } else if (arg == "--no-fast-step") {
+    out->config.fast_step = false;
+  } else if (arg == "--max-cycles" && has_value) {
+    if (!ParseU64Flag("--max-cycles", args[++*i], &out->max_cycles)) {
+      return FlagParse::kError;
+    }
+  } else if (arg == "--inject" && has_value) {
+    out->inject_specs.push_back(args[++*i]);
+  } else if (arg == "--fault-seed" && has_value) {
+    if (!ParseU64Flag("--fault-seed", args[++*i], &out->fault_seed)) {
+      return FlagParse::kError;
+    }
+  } else if (arg == "--watchdog" && has_value) {
+    if (!ParseU64Flag("--watchdog", args[++*i], &out->config.metal_watchdog_cycles)) {
+      return FlagParse::kError;
+    }
+  } else if (arg == "--no-parity") {
+    out->config.mram_parity = false;
+  } else {
+    return FlagParse::kNotMine;
+  }
+  return FlagParse::kConsumed;
 }
 
 const char* ReasonName(RunResult::Reason reason) {
@@ -263,16 +316,13 @@ bool WriteTraceJson(const RingBufferSink& ring, const SpanSink* spans, const std
 
 int CmdRun(const std::vector<std::string>& args) {
   std::string program_path;
-  std::vector<std::string> mcode_paths;
-  CoreConfig config;
-  uint64_t max_cycles = 0;
+  MachineFlags machine;
+  CoreConfig& config = machine.config;
   bool trace_stats = false;
   uint64_t trace_limit = 0;
   std::string stats_json_path;
   std::string trace_json_path;
   bool profile_mroutines = false;
-  std::vector<std::string> inject_specs;
-  uint64_t fault_seed = 0;
   std::string crash_dump_path;
   uint64_t flight_events = FlightRecorder::kDefaultCapacity;
   uint64_t metrics_every = 0;
@@ -283,45 +333,16 @@ int CmdRun(const std::vector<std::string>& args) {
   bool list_fault_targets = false;
 
   for (size_t i = 0; i < args.size(); ++i) {
+    const FlagParse shared = ParseMachineFlag(args, &i, &machine);
+    if (shared == FlagParse::kError) {
+      return 2;
+    }
+    if (shared == FlagParse::kConsumed) {
+      continue;
+    }
     const std::string& arg = args[i];
-    if (arg == "--mcode" && i + 1 < args.size()) {
-      mcode_paths.push_back(args[++i]);
-    } else if (arg == "--storage" && i + 1 < args.size()) {
-      const std::string& mode = args[++i];
-      if (!ParseStorageMode(mode, &config.mroutine_storage)) {
-        std::fprintf(stderr, "unknown storage mode '%s'\n", mode.c_str());
-        return 2;
-      }
-    } else if (arg == "--no-fast") {
-      config.fast_transition = false;
-    } else if (arg == "--no-fast-step") {
-      config.fast_step = false;
-    } else if (arg == "--no-superblocks") {
-      config.superblocks = false;
-    } else if (arg == "--superblock-max-trees" && i + 1 < args.size()) {
-      uint64_t trees = 0;
-      if (!ParseU64Flag("--superblock-max-trees", args[++i], &trees)) {
-        return 2;
-      }
-      config.superblock_max_trees = static_cast<uint32_t>(trees);
-    } else if (arg == "--max-cycles" && i + 1 < args.size()) {
-      if (!ParseU64Flag("--max-cycles", args[++i], &max_cycles)) {
-        return 2;
-      }
-    } else if (arg == "--inject" && i + 1 < args.size()) {
-      inject_specs.push_back(args[++i]);
-    } else if (arg == "--list-fault-targets") {
+    if (arg == "--list-fault-targets") {
       list_fault_targets = true;
-    } else if (arg == "--fault-seed" && i + 1 < args.size()) {
-      if (!ParseU64Flag("--fault-seed", args[++i], &fault_seed)) {
-        return 2;
-      }
-    } else if (arg == "--watchdog" && i + 1 < args.size()) {
-      if (!ParseU64Flag("--watchdog", args[++i], &config.metal_watchdog_cycles)) {
-        return 2;
-      }
-    } else if (arg == "--no-parity") {
-      config.mram_parity = false;
     } else if (arg == "--crash-dump" && i + 1 < args.size()) {
       crash_dump_path = args[++i];
     } else if (arg == "--flight-events" && i + 1 < args.size()) {
@@ -396,7 +417,7 @@ int CmdRun(const std::vector<std::string>& args) {
   }
 
   MetalSystem system(config);
-  for (const std::string& path : mcode_paths) {
+  for (const std::string& path : machine.mcode_paths) {
     auto source = ReadFile(path);
     if (!source.ok()) {
       std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
@@ -419,10 +440,12 @@ int CmdRun(const std::vector<std::string>& args) {
   // not silently-inert runs. A restored run's budget is relative to the
   // restore point while trigger cycles are absolute, so the trigger-cycle
   // check only applies to cold starts.
-  FaultEngine fault_engine(fault_seed);
+  FaultEngine fault_engine(machine.fault_seed);
   const uint64_t validate_budget =
-      restore_path.empty() ? (max_cycles != 0 ? max_cycles : config.default_max_cycles) : 0;
-  for (const std::string& text : inject_specs) {
+      restore_path.empty()
+          ? (machine.max_cycles != 0 ? machine.max_cycles : config.default_max_cycles)
+          : 0;
+  for (const std::string& text : machine.inject_specs) {
     auto spec = ParseFaultSpec(text);
     if (!spec.ok()) {
       std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
@@ -623,7 +646,8 @@ int CmdRun(const std::vector<std::string>& args) {
   };
   RunResult result;
   int stop_signal = 0;
-  const uint64_t budget = max_cycles != 0 ? max_cycles : config.default_max_cycles;
+  const uint64_t budget =
+      machine.max_cycles != 0 ? machine.max_cycles : config.default_max_cycles;
   const uint64_t start_cycle = core.cycle();
   // Run in chunks that land exactly on the next checkpoint and/or metrics
   // mark (absolute machine cycles, so a restored run saves and samples at
@@ -764,16 +788,12 @@ int CmdRun(const std::vector<std::string>& args) {
 // that the machine itself is deterministic.
 int CmdReplay(const std::vector<std::string>& args) {
   std::string program_path;
-  std::vector<std::string> mcode_paths;
-  CoreConfig config_a;
-  uint64_t max_cycles = 0;
-  std::vector<std::string> inject_a;
-  uint64_t fault_seed_a = 0;
+  MachineFlags machine;
+  CoreConfig& config_a = machine.config;
   bool b_storage_set = false;
   MroutineStorage b_storage = MroutineStorage::kMram;
   int b_fast = -1;  // -1 = inherit A's setting, 0 = slow, 1 = fast
   int b_fast_step = -1;  // same convention, for CoreConfig::fast_step
-  int b_superblocks = -1;  // same convention, for CoreConfig::superblocks
   std::vector<std::string> inject_b;
   uint64_t fault_seed_b = 0;
   bool b_seed_set = false;
@@ -781,44 +801,15 @@ int CmdReplay(const std::vector<std::string>& args) {
   std::string divergence_json_path;
 
   for (size_t i = 0; i < args.size(); ++i) {
+    const FlagParse shared = ParseMachineFlag(args, &i, &machine);
+    if (shared == FlagParse::kError) {
+      return 2;
+    }
+    if (shared == FlagParse::kConsumed) {
+      continue;
+    }
     const std::string& arg = args[i];
-    if (arg == "--mcode" && i + 1 < args.size()) {
-      mcode_paths.push_back(args[++i]);
-    } else if (arg == "--storage" && i + 1 < args.size()) {
-      const std::string& mode = args[++i];
-      if (!ParseStorageMode(mode, &config_a.mroutine_storage)) {
-        std::fprintf(stderr, "unknown storage mode '%s'\n", mode.c_str());
-        return 2;
-      }
-    } else if (arg == "--no-fast") {
-      config_a.fast_transition = false;
-    } else if (arg == "--no-fast-step") {
-      config_a.fast_step = false;
-    } else if (arg == "--no-superblocks") {
-      config_a.superblocks = false;
-    } else if (arg == "--superblock-max-trees" && i + 1 < args.size()) {
-      uint64_t trees = 0;
-      if (!ParseU64Flag("--superblock-max-trees", args[++i], &trees)) {
-        return 2;
-      }
-      config_a.superblock_max_trees = static_cast<uint32_t>(trees);
-    } else if (arg == "--max-cycles" && i + 1 < args.size()) {
-      if (!ParseU64Flag("--max-cycles", args[++i], &max_cycles)) {
-        return 2;
-      }
-    } else if (arg == "--inject" && i + 1 < args.size()) {
-      inject_a.push_back(args[++i]);
-    } else if (arg == "--fault-seed" && i + 1 < args.size()) {
-      if (!ParseU64Flag("--fault-seed", args[++i], &fault_seed_a)) {
-        return 2;
-      }
-    } else if (arg == "--watchdog" && i + 1 < args.size()) {
-      if (!ParseU64Flag("--watchdog", args[++i], &config_a.metal_watchdog_cycles)) {
-        return 2;
-      }
-    } else if (arg == "--no-parity") {
-      config_a.mram_parity = false;
-    } else if (arg == "--until-divergence") {
+    if (arg == "--until-divergence") {
       // The only mode replay has; accepted so invocations read as intended.
     } else if (arg == "--compare" && i + 1 < args.size()) {
       compare_mode = args[++i];
@@ -842,10 +833,6 @@ int CmdReplay(const std::vector<std::string>& args) {
       b_fast_step = 1;
     } else if (arg == "--b-no-fast-step") {
       b_fast_step = 0;
-    } else if (arg == "--b-superblocks") {
-      b_superblocks = 1;
-    } else if (arg == "--b-no-superblocks") {
-      b_superblocks = 0;
     } else if (arg == "--b-inject" && i + 1 < args.size()) {
       inject_b.push_back(args[++i]);
     } else if (arg == "--b-fault-seed" && i + 1 < args.size()) {
@@ -876,9 +863,6 @@ int CmdReplay(const std::vector<std::string>& args) {
   if (b_fast_step != -1) {
     config_b.fast_step = (b_fast_step == 1);
   }
-  if (b_superblocks != -1) {
-    config_b.superblocks = (b_superblocks == 1);
-  }
 
   // Cycle-granularity lockstep compares full per-cycle state digests, which
   // only lines up when both machines have identical timing. Fault injection
@@ -890,8 +874,7 @@ int CmdReplay(const std::vector<std::string>& args) {
   // cycle-granularity driver steps both cores per cycle and would never run
   // the hot path at all — a fast-vs-slow compare only means something at
   // retire granularity, where A is pumped through StepFast.
-  const bool same_stepping = config_b.fast_step == config_a.fast_step &&
-                             config_b.superblocks == config_a.superblocks;
+  const bool same_stepping = config_b.fast_step == config_a.fast_step;
   LockstepOptions options;
   if (compare_mode == "cycle") {
     if (!same_timing) {
@@ -903,8 +886,7 @@ int CmdReplay(const std::vector<std::string>& args) {
     if (!same_stepping) {
       std::fprintf(stderr,
                    "--compare cycle steps both machines per cycle and would not exercise "
-                   "fast_step/superblocks; use --compare retire with --b-no-fast-step or "
-                   "--b-no-superblocks\n");
+                   "fast_step; use --compare retire with --b-no-fast-step\n");
       return 2;
     }
     options.granularity = CompareGranularity::kCycle;
@@ -914,7 +896,7 @@ int CmdReplay(const std::vector<std::string>& args) {
     options.granularity = (same_timing && same_stepping) ? CompareGranularity::kCycle
                                                          : CompareGranularity::kRetire;
   }
-  options.max_cycles = max_cycles;
+  options.max_cycles = machine.max_cycles;
   // The fast path only exists under MRAM storage (Core::IdReplacementChain),
   // so whether menter/mexit retire depends on the *effective* fast setting.
   const bool effective_fast_a =
@@ -926,7 +908,7 @@ int CmdReplay(const std::vector<std::string>& args) {
 
   MetalSystem system_a(config_a);
   MetalSystem system_b(config_b);
-  for (const std::string& path : mcode_paths) {
+  for (const std::string& path : machine.mcode_paths) {
     auto source = ReadFile(path);
     if (!source.ok()) {
       std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
@@ -947,11 +929,12 @@ int CmdReplay(const std::vector<std::string>& args) {
     }
   }
 
-  FaultEngine fault_a(fault_seed_a);
-  FaultEngine fault_b(b_seed_set ? fault_seed_b : fault_seed_a);
-  const uint64_t replay_budget = max_cycles != 0 ? max_cycles : config_a.default_max_cycles;
+  FaultEngine fault_a(machine.fault_seed);
+  FaultEngine fault_b(b_seed_set ? fault_seed_b : machine.fault_seed);
+  const uint64_t replay_budget =
+      machine.max_cycles != 0 ? machine.max_cycles : config_a.default_max_cycles;
   for (const auto& [specs, engine] :
-       {std::pair{&inject_a, &fault_a}, std::pair{&inject_b, &fault_b}}) {
+       {std::pair{&machine.inject_specs, &fault_a}, std::pair{&inject_b, &fault_b}}) {
     for (const std::string& text : *specs) {
       auto spec = ParseFaultSpec(text);
       if (!spec.ok()) {
