@@ -287,7 +287,7 @@ Status CampaignEngine::Prepare() {
   // j * C / (snapshots + 1). The replay is byte-identical to pass 1 (the
   // machine is deterministic), so the snapshots ARE golden states.
   snapshots_.clear();
-  if (options_.use_forks && options_.snapshots != 0) {
+  if (options_.snapshots != 0) {
     MSIM_ASSIGN_OR_RETURN(std::unique_ptr<MetalSystem> replay, BuildSystem());
     Core& core = replay->core();
     for (uint32_t j = 1; j <= options_.snapshots; ++j) {
@@ -496,7 +496,6 @@ void WriteCampaignJson(const CampaignReport& report, std::ostream& out) {
   json.Field("trials", report.options.trials);
   json.Field("seed", report.options.seed);
   json.Field("snapshots", report.options.snapshots);
-  json.Field("use_forks", report.options.use_forks);
   json.Field("hang_factor", report.options.hang_factor);
   json.Field("max_location", static_cast<uint64_t>(report.options.max_location));
   json.Field("mram_parity", report.config.mram_parity);

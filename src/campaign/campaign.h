@@ -125,7 +125,6 @@ struct CampaignOptions {
   // Golden-run snapshot forking: `snapshots` evenly spaced in-memory fork
   // points (0 disables; trials then cold-start, byte-identically).
   uint32_t snapshots = 8;
-  bool use_forks = true;
 
   // A trial that has neither halted nor died by golden_cycles * hang_factor
   // is classified kHang.

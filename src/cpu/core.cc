@@ -269,8 +269,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
 
   // The fetch pc lives in a local; the pipeline latches are written at each
   // trace exit, byte-identical to what per-cycle stepping would have left.
-  // cycle_ itself advances per cycle: the retire hook stamps
-  // RetireEvent::cycle from it.
+  // cycle_ itself advances per cycle: kRetire events are stamped from it.
   uint32_t pc = fetch_pc_;
   bool last_redirect = false;
   uint64_t icache_hits = 0;
@@ -503,9 +502,6 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
       ++stats_.instret;                                                  \
       tracer_.Emit(TraceEventKind::kRetire, sb_pend.pc, sb_pend.raw, 0,  \
                    false);                                               \
-      if (retire_trace_) {                                               \
-        retire_trace_(RetireEvent{cycle_, sb_pend.pc, sb_pend.raw, false}); \
-      }                                                                  \
     }                                                                    \
   } while (0)
 
@@ -547,9 +543,6 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     ++retired;                                                           \
     ++stats_.instret;                                                    \
     tracer_.Emit(TraceEventKind::kRetire, (s).addr, (s).raw, 0, false);  \
-    if (retire_trace_) {                                                 \
-      retire_trace_(RetireEvent{cycle_, (s).addr, (s).raw, false});      \
-    }                                                                    \
   } while (0)
 
 // Operand shorthands (pure register-file reads; x0 is hardwired zero by
@@ -1342,9 +1335,6 @@ void Core::StageMem() {
     ++stats_.metal_instret;
   }
   tracer_.Emit(TraceEventKind::kRetire, op.pc, op.raw, 0, op.metal);
-  if (retire_trace_) {
-    retire_trace_(RetireEvent{cycle_, op.pc, op.raw, op.metal});
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1865,9 +1855,6 @@ void Core::ExecuteAluOp(Op& op) {
       ++stats_.metal_instret;
     }
     tracer_.Emit(TraceEventKind::kRetire, op.pc, op.d.raw, 0, op.metal);
-    if (retire_trace_) {
-      retire_trace_(RetireEvent{cycle_, op.pc, op.d.raw, op.metal});
-    }
   }
 }
 

@@ -31,7 +31,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "asm/program.h"
@@ -187,9 +186,11 @@ class Core {
   const MetricRegistry& metrics() const { return metrics_; }
 
   // Attaches a structured-event sink (trace/trace.h) fed by the pipeline and
-  // all instrumented components; null detaches. Like the retirement trace,
-  // emission costs one predictable branch when no sink is attached.
+  // all instrumented components; null detaches. Every retired instruction is
+  // a kRetire event, in program order. Emission costs one predictable branch
+  // when no sink is attached.
   void SetTraceSink(TraceSink* sink);
+  TraceSink* trace_sink() const { return tracer_.sink(); }
 
   // --- checkpoint/restore (src/snap) ---
   // Serializes the complete machine state: registers, every pipeline latch,
@@ -204,18 +205,6 @@ class Core {
   // cycle (no allocation). Excluding DRAM keeps it O(fixed state) — MRAM,
   // whose contents Metal code mutates, is always included.
   uint64_t StateDigest(bool include_dram = false) const;
-
-  // Retirement trace: when set, the callback fires once per architecturally
-  // retired instruction, in program order. Useful for debugging mroutines
-  // (tools/msim --trace) and for test assertions; adds no cost when unset.
-  struct RetireEvent {
-    uint64_t cycle = 0;
-    uint32_t pc = 0;
-    uint32_t raw = 0;
-    bool metal = false;  // retired under Metal privileges
-  };
-  using RetireTrace = std::function<void(const RetireEvent&)>;
-  void SetRetireTrace(RetireTrace trace) { retire_trace_ = std::move(trace); }
 
  private:
   // In-flight instruction micro-state. Decode-stage replacement can merge a
@@ -373,7 +362,6 @@ class Core {
   uint8_t ex_load_rd_ = 0;
   bool redirect_this_cycle_ = false;
 
-  RetireTrace retire_trace_;
   MetricRegistry metrics_;
   Tracer tracer_;
 

@@ -3,12 +3,11 @@
 #include <fstream>
 
 #include "cpu/core.h"
-#include "trace/flight.h"
 #include "trace/json.h"
 
 namespace msim {
 
-void WriteCrashDump(Core& core, const RingBufferSink* trace, const FlightRecorder* flight,
+void WriteCrashDump(Core& core, const RingBufferSink* trace, const RingBufferSink* flight,
                     const CrashDumpOptions& options, std::ostream& out) {
   const CoreStats& stats = core.stats();
   const MetalUnit& metal = core.metal();
@@ -68,15 +67,7 @@ void WriteCrashDump(Core& core, const RingBufferSink* trace, const FlightRecorde
     const size_t first =
         events.size() > options.max_trace_events ? events.size() - options.max_trace_events : 0;
     for (size_t i = first; i < events.size(); ++i) {
-      const TraceEvent& event = events[i];
-      json.BeginObject();
-      json.Field("cycle", event.cycle);
-      json.Field("kind", TraceEventKindName(event.kind));
-      json.Field("pc", event.pc);
-      json.Field("arg0", event.arg0);
-      json.Field("arg1", event.arg1);
-      json.Field("metal", event.metal);
-      json.EndObject();
+      WriteTraceEventJson(json, events[i]);
     }
   }
   json.EndArray();
@@ -97,7 +88,7 @@ void WriteCrashDump(Core& core, const RingBufferSink* trace, const FlightRecorde
   out << "\n";
 }
 
-Status WriteCrashDumpFile(Core& core, const RingBufferSink* trace, const FlightRecorder* flight,
+Status WriteCrashDumpFile(Core& core, const RingBufferSink* trace, const RingBufferSink* flight,
                           const CrashDumpOptions& options, const std::string& path) {
   std::ofstream out(path);
   if (!out) {

@@ -6,9 +6,9 @@
 // process exits: GPRs, Metal registers, the Metal mode/entry state, the
 // pending trap and machine-check control registers, the last N structured
 // trace events from an attached ring buffer, and the flight recorder's ring
-// of architectural events (trace/flight.h) when one is attached. The dump
-// contains only simulated state (no timestamps, no host paths), so a
-// deterministic run produces a byte-identical dump.
+// of architectural events (a RingBufferSink filtered to kFlightKinds) when
+// one is attached. The dump contains only simulated state (no timestamps, no
+// host paths), so a deterministic run produces a byte-identical dump.
 //
 // Dump versions:
 //   1 — initial format (through the fault-injection PR)
@@ -26,7 +26,6 @@
 namespace msim {
 
 class Core;
-class FlightRecorder;
 
 struct CrashDumpOptions {
   std::string reason;         // "fatal" | "halted" | "cycle_limit" (RunResult)
@@ -37,11 +36,11 @@ struct CrashDumpOptions {
 // Writes the dump JSON for `core`. `trace` may be null (the "trace" array is
 // then empty); `flight` may be null (the "flight_recorder" object then
 // records zero events).
-void WriteCrashDump(Core& core, const RingBufferSink* trace, const FlightRecorder* flight,
+void WriteCrashDump(Core& core, const RingBufferSink* trace, const RingBufferSink* flight,
                     const CrashDumpOptions& options, std::ostream& out);
 
 // WriteCrashDump into `path`; fails if the file cannot be created.
-Status WriteCrashDumpFile(Core& core, const RingBufferSink* trace, const FlightRecorder* flight,
+Status WriteCrashDumpFile(Core& core, const RingBufferSink* trace, const RingBufferSink* flight,
                           const CrashDumpOptions& options, const std::string& path);
 
 }  // namespace msim

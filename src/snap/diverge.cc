@@ -143,6 +143,38 @@ bool IsTransitionRetire(uint32_t raw) {
   return kind == InstrKind::kMenter || kind == InstrKind::kMexit;
 }
 
+// Collects one core's retire stream for the compare. While attached it
+// stands in for the core's own sink, forwarding every event to it, and puts
+// it back when the compare ends.
+class RetireCollector : public TraceSink {
+ public:
+  RetireCollector(Core& core, bool drop_transitions)
+      : core_(core), forward_(core.trace_sink()), drop_transitions_(drop_transitions) {
+    core_.SetTraceSink(this);
+  }
+  ~RetireCollector() override { core_.SetTraceSink(forward_); }
+  RetireCollector(const RetireCollector&) = delete;
+  RetireCollector& operator=(const RetireCollector&) = delete;
+
+  void OnEvent(const TraceEvent& event) override {
+    if (forward_ != nullptr) {
+      forward_->OnEvent(event);
+    }
+    if (event.kind != TraceEventKind::kRetire ||
+        (drop_transitions_ && IsTransitionRetire(event.arg0))) {
+      return;
+    }
+    records.push_back({event.cycle, event.pc, event.arg0, event.metal});
+  }
+
+  std::deque<RetireRecord> records;
+
+ private:
+  Core& core_;
+  TraceSink* forward_;
+  bool drop_transitions_;
+};
+
 Result<DivergenceReport> RunRetireLockstep(MetalSystem& sys_a, MetalSystem& sys_b,
                                            const LockstepOptions& options,
                                            uint64_t max_cycles) {
@@ -151,28 +183,10 @@ Result<DivergenceReport> RunRetireLockstep(MetalSystem& sys_a, MetalSystem& sys_
   DivergenceReport report;
   report.granularity = CompareGranularity::kRetire;
 
-  std::deque<RetireRecord> ra;
-  std::deque<RetireRecord> rb;
-  const bool drop_transitions = options.ignore_transition_retires;
-  auto collect = [drop_transitions](std::deque<RetireRecord>* into) {
-    return [into, drop_transitions](const Core::RetireEvent& event) {
-      if (drop_transitions && IsTransitionRetire(event.raw)) {
-        return;
-      }
-      into->push_back({event.cycle, event.pc, event.raw, event.metal});
-    };
-  };
-  a.SetRetireTrace(collect(&ra));
-  b.SetRetireTrace(collect(&rb));
-  // The collectors capture stack state; never leave them attached.
-  struct TraceGuard {
-    Core& a;
-    Core& b;
-    ~TraceGuard() {
-      a.SetRetireTrace({});
-      b.SetRetireTrace({});
-    }
-  } guard{a, b};
+  RetireCollector collect_a(a, options.ignore_transition_retires);
+  RetireCollector collect_b(b, options.ignore_transition_retires);
+  std::deque<RetireRecord>& ra = collect_a.records;
+  std::deque<RetireRecord>& rb = collect_b.records;
 
   const uint64_t start_a = a.cycle();
   const uint64_t start_b = b.cycle();

@@ -324,8 +324,8 @@ void WriteCommonMember(JsonWriter& json, const char* name, const char* phase, ui
 
 }  // namespace
 
-void ExportChromeTraceWithSpans(const std::vector<TraceEvent>& events,
-                                const std::vector<Span>& spans, std::ostream& out) {
+void ExportChromeTrace(const std::vector<TraceEvent>& events, const std::vector<Span>& spans,
+                       std::ostream& out) {
   JsonWriter json(out);
   json.BeginObject();
   json.BeginArray("traceEvents");
@@ -380,8 +380,8 @@ void ExportChromeTraceWithSpans(const std::vector<TraceEvent>& events,
     json.EndObject();
   }
 
-  // Non-transition events render as instants, as in ExportChromeTrace; the
-  // transition events themselves are already covered by the span slices.
+  // Non-transition events render as instants; the transition events
+  // themselves are already covered by the span slices.
   for (const TraceEvent& event : events) {
     switch (event.kind) {
       case TraceEventKind::kMenter:

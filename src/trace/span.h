@@ -25,6 +25,7 @@
 
 #include <array>
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "cpu/trap.h"
@@ -112,7 +113,8 @@ class SpanSink : public TraceSink {
 
   // Checkpoint/restore (src/snap): counters, histograms and the open-span
   // stack. The retained completed-span ring is bounded export state and is
-  // not serialized (same contract as RingBufferSink).
+  // not serialized; a restored run's Chrome trace holds only the spans that
+  // completed after the restore point.
   void SaveState(SnapWriter& w) const;
   Status RestoreState(SnapReader& r);
 
@@ -141,12 +143,13 @@ class SpanSink : public TraceSink {
   Histogram watchdog_margin_;
 };
 
-// Span-aware Chrome trace export: duration slices come from the spans
-// (nesting preserved), flow arrows (ph "s"/"f") connect each span to its
-// causal predecessor, and the remaining events render as instants. Loads in
-// Perfetto / chrome://tracing; 1 cycle = 1 us, as in ExportChromeTrace.
-void ExportChromeTraceWithSpans(const std::vector<TraceEvent>& events,
-                                const std::vector<Span>& spans, std::ostream& out);
+// Writes Chrome trace_event JSON ({"traceEvents": [...]}) that loads in
+// Perfetto / chrome://tracing, with simulated cycles as microseconds:
+// complete ("X") slices come from the spans (nesting preserved), flow arrows
+// (ph "s"/"f") connect each span to its causal predecessor, and the events
+// other than menter/mexit/trap/interrupt render as instants.
+void ExportChromeTrace(const std::vector<TraceEvent>& events, const std::vector<Span>& spans,
+                       std::ostream& out);
 
 }  // namespace msim
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cpu/trap.h"
 #include "snap/snapstream.h"
 #include "support/strings.h"
 #include "trace/json.h"
@@ -47,11 +46,15 @@ const char* TraceEventKindName(TraceEventKind kind) {
   return "unknown";
 }
 
-RingBufferSink::RingBufferSink(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
+RingBufferSink::RingBufferSink(size_t capacity, uint32_t kinds)
+    : capacity_(capacity == 0 ? 1 : capacity), kinds_(kinds) {
   buffer_.reserve(std::min<size_t>(capacity_, 4096));
 }
 
 void RingBufferSink::OnEvent(const TraceEvent& event) {
+  if (!Records(event.kind)) {
+    return;
+  }
   ++total_;
   if (buffer_.size() < capacity_) {
     buffer_.push_back(event);
@@ -71,11 +74,26 @@ std::vector<TraceEvent> RingBufferSink::Events() const {
   return out;
 }
 
-void RingBufferSink::Clear() {
-  buffer_.clear();
-  next_ = 0;
-  total_ = 0;
-  dropped_ = 0;
+void WriteTraceEventJson(JsonWriter& json, const TraceEvent& event) {
+  json.BeginObject();
+  json.Field("cycle", event.cycle);
+  json.Field("kind", TraceEventKindName(event.kind));
+  json.Field("pc", event.pc);
+  json.Field("arg0", event.arg0);
+  json.Field("arg1", event.arg1);
+  json.Field("metal", event.metal);
+  json.EndObject();
+}
+
+void RingBufferSink::AppendJson(JsonWriter& json) const {
+  json.Field("capacity", static_cast<uint64_t>(capacity_));
+  json.Field("total", total_);
+  json.Field("dropped", dropped_);
+  json.BeginArray("events");
+  for (const TraceEvent& event : Events()) {
+    WriteTraceEventJson(json, event);
+  }
+  json.EndArray();
 }
 
 void RingBufferSink::SaveState(SnapWriter& w) const {
@@ -95,16 +113,19 @@ void RingBufferSink::SaveState(SnapWriter& w) const {
 }
 
 Status RingBufferSink::RestoreState(SnapReader& r) {
+  // A filtered ring is a flight recorder, whose capacity --flight-events caps.
+  const bool flight = kinds_ != kAllKinds;
+  const char* what = flight ? "flight recorder" : "trace ring";
   const uint64_t capacity = r.U64();
-  if (capacity == 0 || capacity > (1u << 24)) {
-    return InvalidArgument("trace ring snapshot: implausible capacity");
+  if (capacity == 0 || capacity > (flight ? kMaxFlightCapacity : uint64_t{1} << 24)) {
+    return InvalidArgument(StrFormat("%s snapshot: implausible capacity", what));
   }
   capacity_ = static_cast<size_t>(capacity);
   total_ = r.U64();
   dropped_ = r.U64();
   const uint64_t count = r.U64();
   if (count > capacity) {
-    return InvalidArgument("trace ring snapshot: count exceeds capacity");
+    return InvalidArgument(StrFormat("%s snapshot: count exceeds capacity", what));
   }
   buffer_.clear();
   next_ = 0;
@@ -119,114 +140,7 @@ Status RingBufferSink::RestoreState(SnapReader& r) {
     event.arg1 = r.U32();
     buffer_.push_back(event);
   }
-  return r.ToStatus("trace ring");
-}
-
-namespace {
-
-// Display name for the slice opened by a mode-entering event.
-std::string SliceName(const TraceEvent& event) {
-  switch (event.kind) {
-    case TraceEventKind::kMenter:
-      return StrFormat("mroutine %u", event.arg0);
-    case TraceEventKind::kTrap:
-      return StrFormat("trap %s -> entry %u",
-                       ExcCauseName(static_cast<ExcCause>(event.arg0)), event.arg1);
-    case TraceEventKind::kInterrupt:
-      return StrFormat("irq %u -> entry %u", event.arg0 & ~kInterruptCauseFlag, event.arg1);
-    case TraceEventKind::kIntercept:
-      return StrFormat("intercept -> entry %u", event.arg1);
-    default:
-      return TraceEventKindName(event.kind);
-  }
-}
-
-void WriteCommon(JsonWriter& json, const char* name, const char* phase, uint64_t ts) {
-  json.Field("name", name);
-  json.Field("ph", phase);
-  json.Field("ts", ts);
-  json.Field("pid", 0);
-  json.Field("tid", 0);
-}
-
-}  // namespace
-
-void ExportChromeTrace(const std::vector<TraceEvent>& events, std::ostream& out) {
-  JsonWriter json(out);
-  json.BeginObject();
-  json.BeginArray("traceEvents");
-
-  // Name the single process/thread for the trace viewer.
-  json.BeginObject();
-  json.Field("name", "process_name");
-  json.Field("ph", "M");
-  json.Field("pid", 0);
-  json.Field("tid", 0);
-  json.BeginObject("args");
-  json.Field("name", "msim");
-  json.EndObject();
-  json.EndObject();
-
-  uint64_t last_cycle = 0;
-  int open_slices = 0;
-  for (const TraceEvent& event : events) {
-    last_cycle = std::max(last_cycle, event.cycle);
-    switch (event.kind) {
-      case TraceEventKind::kMenter:
-      case TraceEventKind::kTrap:
-      case TraceEventKind::kInterrupt: {
-        json.BeginObject();
-        const std::string name = SliceName(event);
-        WriteCommon(json, name.c_str(), "B", event.cycle);
-        json.BeginObject("args");
-        json.Field("pc", StrFormat("0x%08x", event.pc));
-        if (event.kind == TraceEventKind::kMenter) {
-          json.Field("entry", event.arg0);
-          json.Field("handler", StrFormat("0x%08x", event.arg1));
-        } else {
-          json.Field("cause", event.arg0);
-          json.Field("entry", event.arg1);
-        }
-        json.EndObject();
-        json.EndObject();
-        ++open_slices;
-        break;
-      }
-      case TraceEventKind::kMexit: {
-        if (open_slices == 0) {
-          break;  // exit without a recorded enter (ring buffer wrapped)
-        }
-        json.BeginObject();
-        WriteCommon(json, "mexit", "E", event.cycle);
-        json.EndObject();
-        --open_slices;
-        break;
-      }
-      default: {
-        json.BeginObject();
-        WriteCommon(json, TraceEventKindName(event.kind), "i", event.cycle);
-        json.Field("s", "t");
-        json.BeginObject("args");
-        json.Field("pc", StrFormat("0x%08x", event.pc));
-        json.Field("arg0", event.arg0);
-        json.Field("arg1", event.arg1);
-        json.Field("metal", event.metal);
-        json.EndObject();
-        json.EndObject();
-        break;
-      }
-    }
-  }
-  // Close any slice still open when tracing stopped (e.g. the simulation
-  // halted inside an mroutine) so viewers do not drop it.
-  for (; open_slices > 0; --open_slices) {
-    json.BeginObject();
-    WriteCommon(json, "end_of_trace", "E", last_cycle);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.Field("displayTimeUnit", "ms");
-  json.EndObject();
+  return r.ToStatus(what);
 }
 
 }  // namespace msim

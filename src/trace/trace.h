@@ -2,26 +2,27 @@
 //
 // Components emit typed TraceEvents through a Tracer — a thin, non-owning
 // emitter that stamps the current simulated cycle and forwards to an attached
-// TraceSink. With no sink attached, emission is a single branch (the same
-// zero-cost-when-unused contract as Core::RetireTrace). Sinks:
-//   * RingBufferSink keeps the most recent N events (drop-oldest),
+// TraceSink. With no sink attached, emission is a single branch. Every
+// observer of what the core committed reads this one stream (kRetire events
+// carry the retired instructions). Sinks:
+//   * RingBufferSink keeps the most recent N events of the kinds it records
+//     (drop-oldest); filtered to kFlightKinds it is the flight recorder,
 //   * TeeSink fans one event stream out to several sinks,
-//   * MroutineProfiler (trace/profiler.h) aggregates instead of recording.
-// ExportChromeTrace writes a Chrome trace_event JSON file (1 cycle = 1 us)
-// that loads in Perfetto / chrome://tracing: Metal-mode residency appears as
-// duration slices, everything else as instant events.
+//   * MroutineProfiler (trace/profiler.h) aggregates instead of recording,
+//   * SpanSink (trace/span.h) links transitions into service spans; its
+//     ExportChromeTrace writes the Chrome trace_event JSON file.
 #ifndef MSIM_TRACE_TRACE_H_
 #define MSIM_TRACE_TRACE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <ostream>
 #include <vector>
 
 #include "support/result.h"
 
 namespace msim {
 
+class JsonWriter;
 class SnapWriter;
 class SnapReader;
 
@@ -64,32 +65,65 @@ class TraceSink {
   virtual void OnEvent(const TraceEvent& event) = 0;
 };
 
-// Bounded recorder: keeps the most recent `capacity` events in order.
+// Bit of `kind` in a RingBufferSink kind filter.
+constexpr uint32_t KindBit(TraceEventKind kind) { return 1u << static_cast<uint32_t>(kind); }
+
+// Bounded recorder: keeps the most recent `capacity` events of the kinds in
+// its filter, oldest first (drop-oldest). Unfiltered, it feeds the Chrome
+// trace export and the crash dump's "trace" window. Filtered to kFlightKinds
+// it is the flight recorder: the small "what led up to this" window of
+// architectural events embedded in crash dumps. The filter is fixed at
+// construction.
 class RingBufferSink : public TraceSink {
  public:
-  explicit RingBufferSink(size_t capacity = 1 << 20);
+  static constexpr uint32_t kAllKinds = ~0u;
 
+  explicit RingBufferSink(size_t capacity = 1 << 20, uint32_t kinds = kAllKinds);
+
+  bool Records(TraceEventKind kind) const { return (kinds_ & KindBit(kind)) != 0; }
   void OnEvent(const TraceEvent& event) override;
 
   // Events in emission order (oldest first).
   std::vector<TraceEvent> Events() const;
-  uint64_t dropped() const { return dropped_; }
-  uint64_t total() const { return total_; }
-  void Clear();
+  uint64_t dropped() const { return dropped_; }  // recorded minus retained
+  uint64_t total() const { return total_; }      // events recorded
+
+  // Appends capacity/total/dropped and an "events" array to an open object.
+  void AppendJson(JsonWriter& json) const;
 
   // Checkpoint/restore (src/snap): the retained window rides in snapshots so
-  // a restored run's crash-dump trace matches the straight run's byte for
-  // byte even when part of the window predates the restore point.
+  // a restored run's crash-dump windows match the straight run's byte for
+  // byte even when part of a window predates the restore point. A restore
+  // takes its capacity from the snapshot, up to 2^24 events, or up to
+  // kMaxFlightCapacity for a filtered ring.
   void SaveState(SnapWriter& w) const;
   Status RestoreState(SnapReader& r);
 
  private:
   std::vector<TraceEvent> buffer_;
   size_t capacity_;
+  uint32_t kinds_;
   size_t next_ = 0;
   uint64_t total_ = 0;
   uint64_t dropped_ = 0;
 };
+
+// The flight recorder's filter: retires, transitions (menter/mexit/chain
+// folds), trap/interrupt/intercept deliveries, fault injections and machine
+// checks. Cache/TLB misses, MRAM accesses, stalls and flushes are high-rate
+// microarchitectural noise and are left out.
+constexpr uint32_t kFlightKinds =
+    KindBit(TraceEventKind::kRetire) | KindBit(TraceEventKind::kMenter) |
+    KindBit(TraceEventKind::kMexit) | KindBit(TraceEventKind::kChainFold) |
+    KindBit(TraceEventKind::kTrap) | KindBit(TraceEventKind::kInterrupt) |
+    KindBit(TraceEventKind::kIntercept) | KindBit(TraceEventKind::kFaultInject) |
+    KindBit(TraceEventKind::kMachineCheck);
+constexpr size_t kFlightCapacity = 256;
+constexpr uint64_t kMaxFlightCapacity = 1u << 20;
+
+// Writes one event as a JSON object ({"cycle", "kind", "pc", "arg0", "arg1",
+// "metal"}); the crash dump's windows are arrays of these.
+void WriteTraceEventJson(JsonWriter& json, const TraceEvent& event);
 
 // Forwards every event to each attached sink (non-owning).
 class TeeSink : public TraceSink {
@@ -120,6 +154,7 @@ class Tracer {
   }
   void Detach() { sink_ = nullptr; }
   bool enabled() const { return sink_ != nullptr; }
+  TraceSink* sink() const { return sink_; }
 
   void Emit(TraceEventKind kind, uint32_t pc, uint32_t arg0 = 0, uint32_t arg1 = 0,
             bool metal = false) {
@@ -140,13 +175,6 @@ class Tracer {
   TraceSink* sink_ = nullptr;
   const uint64_t* cycle_ = nullptr;
 };
-
-// Writes Chrome trace_event JSON ({"traceEvents": [...]}): duration slices
-// ("B"/"E") for Metal-mode residency opened by menter/trap/interrupt events
-// and closed by mexit (unbalanced slices are closed at the last cycle), and
-// instant events for everything else. Timestamps are simulated cycles
-// interpreted as microseconds. Events must be in emission (cycle) order.
-void ExportChromeTrace(const std::vector<TraceEvent>& events, std::ostream& out);
 
 }  // namespace msim
 

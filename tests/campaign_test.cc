@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -362,6 +363,22 @@ TEST(McampCliTest, RejectsMalformedNumericFlags) {
   // --hang-factor documents "min 2"; the engine no longer clamps silently.
   EXPECT_EQ(RunCommand(base + "--hang-factor 1 2>/dev/null"), kExitUsage);
   EXPECT_EQ(RunCommand(base + "--hang-factor 0 2>/dev/null"), kExitUsage);
+  // Out-of-range and malformed values print exactly one line naming the flag.
+  const struct {
+    const char* args;
+    const char* flag;
+  } kRejected[] = {
+      {"--mcheck-entry 256", "--mcheck-entry"},
+      {"--locations 4294967296", "--locations"},
+      {"--snapshots x", "--snapshots"},
+  };
+  for (const auto& bad : kRejected) {
+    SCOPED_TRACE(bad.args);
+    std::string err;
+    EXPECT_EQ(RunCapturingStderr(base + bad.args, &err), kExitUsage);
+    EXPECT_EQ(err.rfind(std::string("invalid value for ") + bad.flag, 0), 0u) << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "snap/diverge.h"
 #include "support/exit_codes.h"
 #include "tests/sim_test_util.h"
+#include "trace/trace.h"
 
 namespace msim {
 namespace {
@@ -164,6 +165,48 @@ TEST(LockstepRetireTest, CorruptedMregSurfacesAsRetireDivergence) {
   EXPECT_TRUE(report->diverged);
 }
 
+TEST(LockstepRetireTest, AttachedSinkSeesEveryEventAndStaysAttached) {
+  // A sink attached to A before the compare sees exactly the event stream a
+  // plain run of the same machine emits, and is still attached afterwards.
+  MetalSystem reference;
+  Build(reference);
+  RingBufferSink expected;
+  reference.SetTraceSink(&expected);
+  MustHalt(reference, 40);
+
+  MetalSystem a;
+  MetalSystem b;
+  Build(a);
+  Build(b);
+  RingBufferSink ring;
+  a.SetTraceSink(&ring);
+  LockstepOptions options;
+  options.granularity = CompareGranularity::kRetire;
+  const auto report = RunLockstep(a, b, options);
+  ASSERT_OK(report.status());
+  EXPECT_FALSE(report->diverged) << report->summary;
+
+  const std::vector<TraceEvent> want = expected.Events();
+  const std::vector<TraceEvent> got = ring.Events();
+  ASSERT_EQ(got.size(), want.size());
+  uint64_t retires = 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got[i].kind, want[i].kind);
+    EXPECT_EQ(got[i].cycle, want[i].cycle);
+    EXPECT_EQ(got[i].pc, want[i].pc);
+    EXPECT_EQ(got[i].arg0, want[i].arg0);
+    EXPECT_EQ(got[i].arg1, want[i].arg1);
+    EXPECT_EQ(got[i].metal, want[i].metal);
+    retires += got[i].kind == TraceEventKind::kRetire;
+  }
+  EXPECT_EQ(retires, a.core().stats().instret);
+
+  const uint64_t before = ring.total();
+  a.core().tracer().Emit(TraceEventKind::kFlush, 0x1234);
+  EXPECT_EQ(ring.total(), before + 1);
+}
+
 TEST(DivergenceReportTest, JsonAndTextIncludeTheDiff) {
   MetalSystem a;
   MetalSystem b;
@@ -209,6 +252,21 @@ TEST(MsimCliTest, RunAndReplayRejectTheSameMalformedMachineFlags) {
     EXPECT_EQ(RunMsim(std::string("replay missing.s --until-divergence ") + flags),
               kExitUsage);
   }
+}
+
+TEST(MsimCliTest, TraceFlagPrintsFirstRetiresToStderr) {
+  std::string err;
+  EXPECT_EQ(RunCapturingStderr(std::string(MSIM_CLI_PATH) + " run " MSIM_TEST_DATA_DIR
+                                                             "/smoke.s --trace 5 >/dev/null",
+                               &err),
+            0);
+  EXPECT_EQ(err,
+            "        22    00001000  addi t0, zero, 10\n"
+            "        23    00001004  addi t0, t0, -1\n"
+            "        24    00001008  bne t0, zero, -4\n"
+            "        27    00001004  addi t0, t0, -1\n"
+            "        28    00001008  bne t0, zero, -4\n"
+            "[halted] exit=0 cycles=61 instret=22\n");
 }
 
 }  // namespace

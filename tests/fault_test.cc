@@ -11,7 +11,6 @@
 #include "fault/fault.h"
 #include "metal/system.h"
 #include "tests/sim_test_util.h"
-#include "trace/flight.h"
 #include "trace/json.h"
 #include "trace/trace.h"
 
@@ -462,7 +461,7 @@ TEST(CrashDumpTest, DumpIsValidJsonAndRecordsMachineCheck) {
   system.AddMcode(kSpinMcode);
   ASSERT_OK(system.LoadProgramSource(kSpinProgram));
   RingBufferSink ring;
-  FlightRecorder flight;
+  RingBufferSink flight(kFlightCapacity, kFlightKinds);
   TeeSink tee;
   tee.Add(&ring);
   tee.Add(&flight);

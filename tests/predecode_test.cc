@@ -25,35 +25,6 @@
 namespace msim {
 namespace {
 
-struct Retire {
-  uint64_t cycle;
-  uint32_t pc;
-  uint32_t raw;
-  bool metal;
-  bool operator==(const Retire& o) const {
-    return cycle == o.cycle && pc == o.pc && raw == o.raw && metal == o.metal;
-  }
-};
-
-void RecordRetires(Core& core, std::vector<Retire>* out) {
-  core.SetRetireTrace([out](const Core::RetireEvent& e) {
-    out->push_back(Retire{e.cycle, e.pc, e.raw, e.metal});
-  });
-}
-
-void ExpectSameRetires(const std::vector<Retire>& a, const std::vector<Retire>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(a[i] == b[i]) << "retire " << i << ": cycle " << a[i].cycle << " pc 0x"
-                              << std::hex << a[i].pc << " raw 0x" << a[i].raw
-                              << " vs cycle " << std::dec << b[i].cycle << " pc 0x"
-                              << std::hex << b[i].pc << " raw 0x" << b[i].raw;
-    if (!(a[i] == b[i])) {
-      return;  // the first divergence is the informative one
-    }
-  }
-}
-
 // A no-cache, per-cycle reference configuration. Both knobs are
 // architecturally invisible, so a default core must match it cycle-exactly.
 CoreConfig ReferenceConfig() {
@@ -103,9 +74,9 @@ TEST(FastStepTest, ByteExactAgainstPerCycleAtManySyncPoints) {
   ASSERT_OK(fast.LoadProgram(program));
   ASSERT_OK(slow.LoadProgram(program));
 
-  std::vector<Retire> fast_retires, slow_retires;
-  RecordRetires(fast, &fast_retires);
-  RecordRetires(slow, &slow_retires);
+  RingBufferSink fast_retires = RetireRing(), slow_retires = RetireRing();
+  fast.SetTraceSink(&fast_retires);
+  slow.SetTraceSink(&slow_retires);
 
   // Deliberately awkward chunk sizes so sync points land inside traces, on
   // taken branches and mid-refill. CoreConfigHash excludes fast_step, so the
@@ -127,7 +98,7 @@ TEST(FastStepTest, ByteExactAgainstPerCycleAtManySyncPoints) {
   EXPECT_EQ(sr.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(fr.exit_code, sr.exit_code);
   EXPECT_EQ(fast.StateDigest(true), slow.StateDigest(true));
-  ExpectSameRetires(fast_retires, slow_retires);
+  ExpectSameRetires(fast_retires.Events(), slow_retires.Events());
 }
 
 // Counts timer interrupts in MRAM data[0] (same handler as interrupt_test).
@@ -198,27 +169,28 @@ TEST(FastStepTest, RetireBoundedSteppingStopsExactly) {
   // per-cycle run.
   Core fast;  // defaults
   ASSERT_OK(fast.LoadProgram(MustAssemble(kMixedProgram)));
-  std::vector<Retire> retires;
-  RecordRetires(fast, &retires);
+  RingBufferSink retires = RetireRing();
+  fast.SetTraceSink(&retires);
   // Pump forward 10 retires at a time using the public StepFast + StepCycle
   // fallback, mirroring RunRetireLockstep's structure.
-  while (!fast.halted() && retires.size() < 500) {
-    const size_t before = retires.size();
+  while (!fast.halted() && retires.total() < 500) {
+    const uint64_t before = retires.total();
     if (fast.StepFast(100000, /*max_retires=*/10) == 0) {
       fast.StepCycle();
     }
-    EXPECT_LE(retires.size() - before, 10u);
+    EXPECT_LE(retires.total() - before, 10u);
   }
   Core slow(ReferenceConfig());
   ASSERT_OK(slow.LoadProgram(MustAssemble(kMixedProgram)));
-  std::vector<Retire> slow_retires;
-  RecordRetires(slow, &slow_retires);
-  while (!slow.halted() && slow_retires.size() < retires.size()) {
+  RingBufferSink slow_retires = RetireRing();
+  slow.SetTraceSink(&slow_retires);
+  while (!slow.halted() && slow_retires.total() < retires.total()) {
     slow.StepCycle();
   }
-  ASSERT_GE(slow_retires.size(), retires.size());
-  slow_retires.resize(retires.size());
-  ExpectSameRetires(retires, slow_retires);
+  ASSERT_GE(slow_retires.total(), retires.total());
+  std::vector<TraceEvent> slow_prefix = slow_retires.Events();
+  slow_prefix.resize(retires.total());
+  ExpectSameRetires(retires.Events(), slow_prefix);
 }
 
 TEST(FastStepTest, SingleCycleLockstepHoldsAtEveryHorizonBoundary) {
@@ -302,13 +274,13 @@ TEST(PredecodeInvalidationTest, SelfModifyingStoreMatchesNoCacheReference) {
   Core reference(ReferenceConfig());
   ASSERT_OK(cached.LoadProgram(MustAssemble(kSelfModifyingProgram)));
   ASSERT_OK(reference.LoadProgram(MustAssemble(kSelfModifyingProgram)));
-  std::vector<Retire> a, b;
-  RecordRetires(cached, &a);
-  RecordRetires(reference, &b);
+  RingBufferSink a = RetireRing(), b = RetireRing();
+  cached.SetTraceSink(&a);
+  reference.SetTraceSink(&b);
   // 3 iterations of +1, then the patched +5 for the remaining 3.
   MustHalt(cached, 18);
   MustHalt(reference, 18);
-  ExpectSameRetires(a, b);
+  ExpectSameRetires(a.Events(), b.Events());
   EXPECT_GT(cached.predecode().stats().hits, 0u);
 }
 
@@ -344,12 +316,12 @@ TEST(PredecodeInvalidationTest, MstGenerationBumpKeepsMramDecodesCoherent) {
     s->AddMcode(kCounterMcode);
     ASSERT_OK(s->LoadProgramSource(kCounterProgram));
   }
-  std::vector<Retire> a, b;
-  RecordRetires(cached.core(), &a);
-  RecordRetires(reference.core(), &b);
+  RingBufferSink a = RetireRing(), b = RetireRing();
+  cached.core().SetTraceSink(&a);
+  reference.core().SetTraceSink(&b);
   MustHalt(cached, 70);
   MustHalt(reference, 70);
-  ExpectSameRetires(a, b);
+  ExpectSameRetires(a.Events(), b.Events());
   // The generation bumps forced re-verification, not silent stale hits:
   // verified hits happened, and the caches agree on the architectural result.
   EXPECT_GT(cached.core().predecode().stats().verified_hits, 0u);
@@ -386,9 +358,9 @@ TEST(PredecodeInvalidationTest, ScrubRestoresCorruptedDecodeIdentically) {
     ASSERT_OK(s->LoadProgramSource(kLongCounterProgram));
     ASSERT_OK(s->Boot());
   }
-  std::vector<Retire> a, b;
-  RecordRetires(cached.core(), &a);
-  RecordRetires(reference.core(), &b);
+  RingBufferSink a = RetireRing(), b = RetireRing();
+  cached.core().SetTraceSink(&a);
+  reference.core().SetTraceSink(&b);
 
   auto drive = [](MetalSystem& s) -> RunResult {
     s.Run(1500);  // invocations fill the predecode cache
@@ -405,7 +377,7 @@ TEST(PredecodeInvalidationTest, ScrubRestoresCorruptedDecodeIdentically) {
   EXPECT_EQ(ra.exit_code, rb.exit_code);
   // The corruption must actually have been observed (sub ran for a while).
   EXPECT_NE(ra.exit_code, 2800u);
-  ExpectSameRetires(a, b);
+  ExpectSameRetires(a.Events(), b.Events());
 }
 
 TEST(PredecodeInvalidationTest, FaultEngineMramCodeFlipMatchesReference) {
@@ -426,16 +398,16 @@ TEST(PredecodeInvalidationTest, FaultEngineMramCodeFlipMatchesReference) {
     s->AddMcode(kCounterMcode);
     ASSERT_OK(s->LoadProgramSource(kLongCounterProgram));
   }
-  std::vector<Retire> a, b;
-  RecordRetires(cached.core(), &a);
-  RecordRetires(reference.core(), &b);
+  RingBufferSink a = RetireRing(), b = RetireRing();
+  cached.core().SetTraceSink(&a);
+  reference.core().SetTraceSink(&b);
   const RunResult ra = cached.Run(2'000'000);
   const RunResult rb = reference.Run(2'000'000);
   EXPECT_EQ(cached_engine.injections(), 1u);
   EXPECT_EQ(ra.reason, rb.reason);
   EXPECT_EQ(ra.exit_code, rb.exit_code);
   EXPECT_NE(ra.exit_code, 2800u);  // the flip changed the result on both
-  ExpectSameRetires(a, b);
+  ExpectSameRetires(a.Events(), b.Events());
 }
 
 TEST(PredecodeInvalidationTest, SnapshotRestoreMidLoopResumesIdentically) {
@@ -448,8 +420,8 @@ TEST(PredecodeInvalidationTest, SnapshotRestoreMidLoopResumesIdentically) {
   const std::vector<uint8_t> image = SaveSnapshot(original);
   const uint64_t digest_at_save = original.StateDigest(true);
 
-  std::vector<Retire> rest_of_original;
-  RecordRetires(original, &rest_of_original);
+  RingBufferSink rest_of_original = RetireRing();
+  original.SetTraceSink(&rest_of_original);
   const RunResult ro = original.Run(2'000'000);
   EXPECT_EQ(ro.reason, RunResult::Reason::kHalted);
 
@@ -457,12 +429,12 @@ TEST(PredecodeInvalidationTest, SnapshotRestoreMidLoopResumesIdentically) {
   Core restored;
   ASSERT_OK(RestoreSnapshot(restored, image));
   EXPECT_EQ(restored.StateDigest(true), digest_at_save);
-  std::vector<Retire> rest_of_restored;
-  RecordRetires(restored, &rest_of_restored);
+  RingBufferSink rest_of_restored = RetireRing();
+  restored.SetTraceSink(&rest_of_restored);
   const RunResult rr = restored.Run(2'000'000);
   EXPECT_EQ(rr.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(rr.exit_code, ro.exit_code);
-  ExpectSameRetires(rest_of_original, rest_of_restored);
+  ExpectSameRetires(rest_of_original.Events(), rest_of_restored.Events());
 
   // A snapshot taken under fast_step restores into a per-cycle core (the
   // config hash deliberately excludes fast_step) and resumes identically.
@@ -471,12 +443,12 @@ TEST(PredecodeInvalidationTest, SnapshotRestoreMidLoopResumesIdentically) {
   Core slow(slow_config);
   ASSERT_OK(RestoreSnapshot(slow, image));
   EXPECT_EQ(slow.StateDigest(true), digest_at_save);
-  std::vector<Retire> rest_of_slow;
-  RecordRetires(slow, &rest_of_slow);
+  RingBufferSink rest_of_slow = RetireRing();
+  slow.SetTraceSink(&rest_of_slow);
   const RunResult rs = slow.Run(2'000'000);
   EXPECT_EQ(rs.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(rs.exit_code, ro.exit_code);
-  ExpectSameRetires(rest_of_original, rest_of_slow);
+  ExpectSameRetires(rest_of_original.Events(), rest_of_slow.Events());
 }
 
 // ---------------------------------------------------------------------------
@@ -490,7 +462,7 @@ TEST(PredecodeTrapTest, UndecodableMroutineWordTrapsIdenticallyCachedAndNot) {
   // Metal-frontend fetch, and whether the decode came from the predecode
   // cache or cold, the trap must be the same illegal-instruction exception.
   auto run_one = [](bool predecode_on, bool fast_transition,
-                    std::vector<Retire>* retires, CoreStats* stats) -> RunResult {
+                    RingBufferSink* retires, CoreStats* stats) -> RunResult {
     CoreConfig config;
     config.mram_parity = false;
     config.fast_transition = fast_transition;
@@ -504,14 +476,14 @@ TEST(PredecodeTrapTest, UndecodableMroutineWordTrapsIdenticallyCachedAndNot) {
     EXPECT_OK(system.Boot());
     // Zero the mroutine's FIRST word (the replacement-chain target).
     EXPECT_TRUE(system.core().mram().CorruptCodeWord(0, 0u, 0u));
-    RecordRetires(system.core(), retires);
+    system.core().SetTraceSink(retires);
     const RunResult r = system.Run(100'000);
     *stats = system.core().stats();
     return r;
   };
 
   for (const bool fast_transition : {true, false}) {
-    std::vector<Retire> cached_retires, reference_retires;
+    RingBufferSink cached_retires = RetireRing(), reference_retires = RetireRing();
     CoreStats cached_stats, reference_stats;
     const RunResult cached =
         run_one(/*predecode_on=*/true, fast_transition, &cached_retires, &cached_stats);
@@ -524,7 +496,7 @@ TEST(PredecodeTrapTest, UndecodableMroutineWordTrapsIdenticallyCachedAndNot) {
     EXPECT_EQ(cached.fatal_message, reference.fatal_message);
     EXPECT_EQ(cached_stats.exceptions, reference_stats.exceptions);
     EXPECT_EQ(cached_stats.machine_checks, reference_stats.machine_checks);
-    ExpectSameRetires(cached_retires, reference_retires);
+    ExpectSameRetires(cached_retires.Events(), reference_retires.Events());
   }
 }
 

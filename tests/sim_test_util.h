@@ -2,14 +2,23 @@
 #ifndef MSIM_TESTS_SIM_TEST_UTIL_H_
 #define MSIM_TESTS_SIM_TEST_UTIL_H_
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "asm/assembler.h"
 #include "cpu/core.h"
 #include "metal/system.h"
+#include "trace/trace.h"
 
 namespace msim {
 
@@ -76,6 +85,46 @@ inline RunResult MustHalt(MetalSystem& system, uint32_t want_exit,
   EXPECT_EQ(result.reason, RunResult::Reason::kHalted) << result.fatal_message;
   EXPECT_EQ(result.exit_code, want_exit);
   return result;
+}
+
+// A trace sink that keeps the retired-instruction stream (the kRetire
+// events, oldest first) of the core it is attached to.
+constexpr size_t kRetireRingCapacity = size_t{1} << 20;
+inline RingBufferSink RetireRing() {
+  return RingBufferSink(kRetireRingCapacity, KindBit(TraceEventKind::kRetire));
+}
+
+// Expects two retire streams to match event for event (cycle, pc, raw word
+// and Metal mode); only the first difference is reported.
+inline void ExpectSameRetires(const std::vector<TraceEvent>& a,
+                              const std::vector<TraceEvent>& b) {
+  ASSERT_LT(a.size(), kRetireRingCapacity) << "the retire ring may have wrapped";
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    const bool same = a[i].cycle == b[i].cycle && a[i].pc == b[i].pc &&
+                      a[i].arg0 == b[i].arg0 && a[i].metal == b[i].metal;
+    EXPECT_TRUE(same) << "retire " << i << ": cycle " << a[i].cycle << " pc 0x" << std::hex
+                      << a[i].pc << " raw 0x" << a[i].arg0 << " vs cycle " << std::dec
+                      << b[i].cycle << " pc 0x" << std::hex << b[i].pc << " raw 0x"
+                      << b[i].arg0;
+    if (!same) {
+      return;
+    }
+  }
+}
+
+// Runs `command` through the shell and returns its exit status (-1 when it
+// did not exit normally); what it wrote to stderr lands in *err.
+inline int RunCapturingStderr(const std::string& command, std::string* err) {
+  const std::string path =
+      testing::TempDir() + "/stderr-" + std::to_string(::getpid()) + ".txt";
+  const int raw = std::system((command + " 2>" + path).c_str());
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  *err = text.str();
+  std::remove(path.c_str());
+  return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
 }
 
 }  // namespace msim

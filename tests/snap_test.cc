@@ -203,21 +203,6 @@ TEST(SnapshotTest, ExtraSectionsRoundTrip) {
 // ---------------------------------------------------------------------------
 // The round-trip property.
 
-struct Retire {
-  uint64_t cycle;
-  uint32_t pc;
-  uint32_t raw;
-  bool operator==(const Retire& other) const {
-    return cycle == other.cycle && pc == other.pc && raw == other.raw;
-  }
-};
-
-void CollectRetires(Core& core, std::vector<Retire>& out) {
-  core.SetRetireTrace([&out](const Core::RetireEvent& event) {
-    out.push_back({event.cycle, event.pc, event.raw});
-  });
-}
-
 // Snapshot the reference machine at `snap_cycle`, restore into a fresh
 // machine, run both to completion: the restored machine must retire the same
 // instruction stream (absolute cycles included) and end in the same state.
@@ -238,10 +223,10 @@ void CheckRoundTripAtCycle(const CoreConfig& config, uint64_t snap_cycle) {
   EXPECT_EQ(restored.core().cycle(), snap_cycle);
   EXPECT_EQ(restored.core().StateDigest(true), reference.core().StateDigest(true));
 
-  std::vector<Retire> ref_retires;
-  std::vector<Retire> res_retires;
-  CollectRetires(reference.core(), ref_retires);
-  CollectRetires(restored.core(), res_retires);
+  RingBufferSink ref_retires = RetireRing();
+  RingBufferSink res_retires = RetireRing();
+  reference.core().SetTraceSink(&ref_retires);
+  restored.core().SetTraceSink(&res_retires);
   const RunResult ref_result = reference.core().Run(1'000'000);
   const RunResult res_result = restored.core().Run(1'000'000);
 
@@ -250,7 +235,7 @@ void CheckRoundTripAtCycle(const CoreConfig& config, uint64_t snap_cycle) {
   EXPECT_EQ(res_result.exit_code, ref_result.exit_code);
   EXPECT_EQ(res_result.instret, ref_result.instret);
   EXPECT_EQ(restored.core().cycle(), reference.core().cycle());
-  EXPECT_EQ(res_retires, ref_retires);
+  ExpectSameRetires(ref_retires.Events(), res_retires.Events());
   EXPECT_EQ(restored.core().StateDigest(true), reference.core().StateDigest(true));
   EXPECT_EQ(restored.core().console().output(), reference.core().console().output());
 }

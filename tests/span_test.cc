@@ -422,7 +422,7 @@ TEST(SpanExportTest, ChromeTraceHasSlicesAndFlowArrows) {
       Event(TraceEventKind::kMachineCheck, 20, 0x8008, 1, 0, true),
   };
   std::ostringstream out;
-  ExportChromeTraceWithSpans(events, sink.Spans(), out);
+  ExportChromeTrace(events, sink.Spans(), out);
   const std::string text = out.str();
   EXPECT_TRUE(JsonLooksValid(text)) << text;
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);      // span slices

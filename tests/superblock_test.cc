@@ -25,35 +25,6 @@
 namespace msim {
 namespace {
 
-struct Retire {
-  uint64_t cycle;
-  uint32_t pc;
-  uint32_t raw;
-  bool metal;
-  bool operator==(const Retire& o) const {
-    return cycle == o.cycle && pc == o.pc && raw == o.raw && metal == o.metal;
-  }
-};
-
-void RecordRetires(Core& core, std::vector<Retire>* out) {
-  core.SetRetireTrace([out](const Core::RetireEvent& e) {
-    out->push_back(Retire{e.cycle, e.pc, e.raw, e.metal});
-  });
-}
-
-void ExpectSameRetires(const std::vector<Retire>& a, const std::vector<Retire>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(a[i] == b[i]) << "retire " << i << ": cycle " << a[i].cycle << " pc 0x"
-                              << std::hex << a[i].pc << " raw 0x" << a[i].raw
-                              << " vs cycle " << std::dec << b[i].cycle << " pc 0x"
-                              << std::hex << b[i].pc << " raw 0x" << b[i].raw;
-    if (!(a[i] == b[i])) {
-      return;  // the first divergence is the informative one
-    }
-  }
-}
-
 // Identical geometry everywhere so SaveState streams (and digests) compare;
 // only the stepping mode varies.
 CoreConfig PerCycleConfig() {
@@ -146,9 +117,9 @@ TEST(SuperblockTest, ByteExactAgainstPerCycleAtManySyncPoints) {
       }
       ASSERT_OK(core->LoadProgram(program));
     }
-    std::vector<Retire> a, b;
-    RecordRetires(traced, &a);
-    RecordRetires(percycle, &b);
+    RingBufferSink a = RetireRing(), b = RetireRing();
+    traced.SetTraceSink(&a);
+    percycle.SetTraceSink(&b);
 
     // Deliberately awkward chunk sizes so sync points land mid-trace, on
     // chained back edges and inside the two-cycle refill. fast_step does not
@@ -170,7 +141,7 @@ TEST(SuperblockTest, ByteExactAgainstPerCycleAtManySyncPoints) {
     EXPECT_EQ(rp.reason, RunResult::Reason::kHalted);
     EXPECT_EQ(rt.exit_code, rp.exit_code);
     EXPECT_EQ(traced.StateDigest(true), percycle.StateDigest(true));
-    ExpectSameRetires(a, b);
+    ExpectSameRetires(a.Events(), b.Events());
 
     // The parity above actually exercised the tier: traces built, executed,
     // chained on the loop's back edge, and retired part of the run.
@@ -305,13 +276,13 @@ TEST(SuperblockInvalidationTest, SelfModifyingStoreKillsAffectedTrace) {
   Core percycle(PerCycleConfig());
   ASSERT_OK(traced.LoadProgram(MustAssemble(kSelfModifyingProgram)));
   ASSERT_OK(percycle.LoadProgram(MustAssemble(kSelfModifyingProgram)));
-  std::vector<Retire> a, b;
-  RecordRetires(traced, &a);
-  RecordRetires(percycle, &b);
+  RingBufferSink a = RetireRing(), b = RetireRing();
+  traced.SetTraceSink(&a);
+  percycle.SetTraceSink(&b);
   // 3 iterations of +1, then the patched +5 for the remaining 3.
   MustHalt(traced, 18);
   MustHalt(percycle, 18);
-  ExpectSameRetires(a, b);
+  ExpectSameRetires(a.Events(), b.Events());
   // The store bumped the DRAM write generation; the per-fetch raw-word
   // revalidation must have caught the stale slot and killed its trace.
   EXPECT_GT(traced.superblocks().stats().executions, 0u);
@@ -350,9 +321,9 @@ TEST(SuperblockInvalidationTest, StoreIntoExecutingTraceAheadOfPcIsByteExact) {
   Core traced;  // defaults
   Core percycle(PerCycleConfig());
   const Program program = MustAssemble(kStoreAheadProgram);
-  std::vector<Retire> a, b;
-  RecordRetires(traced, &a);
-  RecordRetires(percycle, &b);
+  RingBufferSink a = RetireRing(), b = RetireRing();
+  traced.SetTraceSink(&a);
+  percycle.SetTraceSink(&b);
   std::vector<RunResult> results;
   for (Core* core : {&traced, &percycle}) {
     ASSERT_OK(core->LoadProgram(program));
@@ -365,7 +336,7 @@ TEST(SuperblockInvalidationTest, StoreIntoExecutingTraceAheadOfPcIsByteExact) {
     EXPECT_EQ(r.reason, RunResult::Reason::kHalted);
     EXPECT_EQ(r.exit_code, results[0].exit_code);
   }
-  ExpectSameRetires(a, b);
+  ExpectSameRetires(a.Events(), b.Events());
   EXPECT_GT(traced.superblocks().stats().executions, 0u);
   EXPECT_GT(traced.superblocks().stats().mem_fast_hits, 0u);
   EXPECT_GT(traced.superblocks().stats().invalidations, 0u);
@@ -419,8 +390,8 @@ constexpr const char* kTlbEvictProgram = R"(
 TEST(SuperblockInvalidationTest, TlbEvictionForcesMidTraceSlowExit) {
   MetalSystem traced;
   MetalSystem percycle(PerCycleConfig());
-  std::vector<Retire> a, b;
-  std::vector<Retire>* streams[] = {&a, &b};
+  RingBufferSink a = RetireRing(), b = RetireRing();
+  RingBufferSink* streams[] = {&a, &b};
   MetalSystem* systems[] = {&traced, &percycle};
   std::vector<RunResult> results;
   for (int i = 0; i < 2; ++i) {
@@ -433,14 +404,14 @@ TEST(SuperblockInvalidationTest, TlbEvictionForcesMidTraceSlowExit) {
     core.metal().Delegate(ExcCause::kTlbMissStore, 10);
     core.metal().Delegate(ExcCause::kTlbMissFetch, 10);
     core.metal().WriteCreg(kCrPgEnable, 1);
-    RecordRetires(core, streams[i]);
+    core.SetTraceSink(streams[i]);
     results.push_back(s.Run(5'000'000));
   }
   for (const RunResult& r : results) {
     EXPECT_EQ(r.reason, RunResult::Reason::kHalted);
     EXPECT_EQ(r.exit_code, results[0].exit_code);
   }
-  ExpectSameRetires(a, b);
+  ExpectSameRetires(a.Events(), b.Events());
   // The hot spin loop's memory slots ran the fast path between evictions and
   // hit the missing-translation slow exit right after each one.
   EXPECT_GT(traced.core().superblocks().stats().executions, 0u);
@@ -464,9 +435,9 @@ TEST(SuperblockInvalidationTest, MramScrubMatchesNoTraceReference) {
     ASSERT_OK(s->LoadProgramSource(kLongCounterProgram));
     ASSERT_OK(s->Boot());
   }
-  std::vector<Retire> a, b;
-  RecordRetires(traced.core(), &a);
-  RecordRetires(percycle.core(), &b);
+  RingBufferSink a = RetireRing(), b = RetireRing();
+  traced.core().SetTraceSink(&a);
+  percycle.core().SetTraceSink(&b);
   auto drive = [](MetalSystem& s) -> RunResult {
     s.Run(1500);
     // Flip `add t0, t0, a0` (second mroutine word) into `sub`.
@@ -480,7 +451,7 @@ TEST(SuperblockInvalidationTest, MramScrubMatchesNoTraceReference) {
   EXPECT_EQ(ra.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(rb.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(ra.exit_code, rb.exit_code);
-  ExpectSameRetires(a, b);
+  ExpectSameRetires(a.Events(), b.Events());
   EXPECT_GT(traced.core().superblocks().stats().executions, 0u);
 }
 
@@ -501,14 +472,14 @@ TEST(SuperblockInvalidationTest, FaultEngineAttachDisablesTraceExecution) {
     s->AddMcode(kCounterMcode);
     ASSERT_OK(s->LoadProgramSource(kLongCounterProgram));
   }
-  std::vector<Retire> a, b;
-  RecordRetires(traced.core(), &a);
-  RecordRetires(reference.core(), &b);
+  RingBufferSink a = RetireRing(), b = RetireRing();
+  traced.core().SetTraceSink(&a);
+  reference.core().SetTraceSink(&b);
   const RunResult ra = traced.Run(2'000'000);
   const RunResult rb = reference.Run(2'000'000);
   EXPECT_EQ(ra.reason, rb.reason);
   EXPECT_EQ(ra.exit_code, rb.exit_code);
-  ExpectSameRetires(a, b);
+  ExpectSameRetires(a.Events(), b.Events());
   EXPECT_EQ(traced.core().superblocks().stats().executions, 0u);
   EXPECT_EQ(traced.core().superblocks().stats().builds, 0u);
 }
@@ -529,8 +500,8 @@ TEST(SuperblockSnapshotTest, RestoreMidLoopResumesIdentically) {
   const std::vector<uint8_t> image = SaveSnapshot(original);
   const uint64_t digest_at_save = original.StateDigest(true);
 
-  std::vector<Retire> rest_of_original;
-  RecordRetires(original, &rest_of_original);
+  RingBufferSink rest_of_original = RetireRing();
+  original.SetTraceSink(&rest_of_original);
   const RunResult ro = original.Run(2'000'000);
   EXPECT_EQ(ro.reason, RunResult::Reason::kHalted);
 
@@ -538,12 +509,12 @@ TEST(SuperblockSnapshotTest, RestoreMidLoopResumesIdentically) {
     Core restored(config);
     ASSERT_OK(RestoreSnapshot(restored, image));
     EXPECT_EQ(restored.StateDigest(true), digest_at_save);
-    std::vector<Retire> rest;
-    RecordRetires(restored, &rest);
+    RingBufferSink rest = RetireRing();
+    restored.SetTraceSink(&rest);
     const RunResult rr = restored.Run(2'000'000);
     EXPECT_EQ(rr.reason, RunResult::Reason::kHalted);
     EXPECT_EQ(rr.exit_code, ro.exit_code);
-    ExpectSameRetires(rest_of_original, rest);
+    ExpectSameRetires(rest_of_original.Events(), rest.Events());
   };
   resume(CoreConfig{});
   resume(PerCycleConfig());

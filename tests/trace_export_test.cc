@@ -1,4 +1,4 @@
-// Chrome trace_event exporter and the per-mroutine profiler.
+// Chrome trace_event exporter, the trace ring and the per-mroutine profiler.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -7,6 +7,7 @@
 #include "tests/sim_test_util.h"
 #include "trace/json.h"
 #include "trace/profiler.h"
+#include "trace/span.h"
 #include "trace/trace.h"
 
 namespace msim {
@@ -24,9 +25,30 @@ TraceEvent MakeEvent(TraceEventKind kind, uint64_t cycle, uint32_t pc = 0, uint3
   return event;
 }
 
+// Counts occurrences of `needle` in `text`.
+size_t Count(const std::string& text, const std::string& needle) {
+  size_t count = 0;
+  for (size_t pos = 0; (pos = text.find(needle, pos)) != std::string::npos; ++pos) {
+    ++count;
+  }
+  return count;
+}
+
+// Runs `events` through a SpanSink and exports them with its spans.
+std::string Export(const std::vector<TraceEvent>& events, uint64_t final_cycle) {
+  SpanSink spans;
+  for (const TraceEvent& event : events) {
+    spans.OnEvent(event);
+  }
+  spans.Finalize(final_cycle);
+  std::ostringstream out;
+  ExportChromeTrace(events, spans.Spans(), out);
+  return out.str();
+}
+
 TEST(ChromeTraceExportTest, EmptyStreamIsValidJson) {
   std::ostringstream out;
-  ExportChromeTrace({}, out);
+  ExportChromeTrace({}, {}, out);
   EXPECT_TRUE(JsonLooksValid(out.str())) << out.str();
   EXPECT_NE(out.str().find("traceEvents"), std::string::npos);
 }
@@ -39,34 +61,29 @@ TEST(ChromeTraceExportTest, SlicesAndInstantsAreValidJson) {
   events.push_back(MakeEvent(TraceEventKind::kMexit, 7, 0xffff0004, 0x1008, 0, true));
   events.push_back(MakeEvent(TraceEventKind::kTrap, 9, 0x1008, 8, 5));
   events.push_back(MakeEvent(TraceEventKind::kMexit, 12, 0xffff0100, 0x100c, 0, true));
-  std::ostringstream out;
-  ExportChromeTrace(events, out);
-  const std::string json = out.str();
+  const std::string json = Export(events, 12);
   EXPECT_TRUE(JsonLooksValid(json)) << json;
   EXPECT_NE(json.find("\"mroutine 2\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"B\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"E\""), std::string::npos);
+  EXPECT_NE(json.find("-> entry 5\""), std::string::npos);
   EXPECT_NE(json.find("\"retire\""), std::string::npos);
-  // B and E slices are balanced (one pair per span).
-  size_t begins = 0, ends = 0;
-  for (size_t pos = 0; (pos = json.find("\"ph\":\"B\"", pos)) != std::string::npos; ++pos) {
-    ++begins;
-  }
-  for (size_t pos = 0; (pos = json.find("\"ph\":\"E\"", pos)) != std::string::npos; ++pos) {
-    ++ends;
-  }
-  EXPECT_EQ(begins, 2u);
-  EXPECT_EQ(begins, ends);
+  // One complete slice per service span, and the transition events are not
+  // repeated as instants.
+  EXPECT_EQ(Count(json, "\"ph\":\"X\""), 2u);
+  EXPECT_EQ(Count(json, "\"ph\":\"i\""), 2u);
+  EXPECT_EQ(json.find("\"mexit\""), std::string::npos);
 }
 
 TEST(ChromeTraceExportTest, UnbalancedSliceClosedAtLastCycle) {
   std::vector<TraceEvent> events;
   events.push_back(MakeEvent(TraceEventKind::kMenter, 2, 0x1000, 1, 0xffff0000));
   events.push_back(MakeEvent(TraceEventKind::kRetire, 10, 0xffff0000, 0x13, 0, true));
-  std::ostringstream out;
-  ExportChromeTrace(events, out);
-  EXPECT_TRUE(JsonLooksValid(out.str())) << out.str();
-  EXPECT_NE(out.str().find("\"ph\":\"E\""), std::string::npos);
+  const std::string json = Export(events, 10);
+  EXPECT_TRUE(JsonLooksValid(json)) << json;
+  // The span still open when tracing stopped ends at the final cycle.
+  EXPECT_NE(json.find("\"ph\":\"X\",\"ts\":2,\"pid\":0,\"tid\":0,\"dur\":8"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"aborted\":true"), std::string::npos);
 }
 
 TEST(ChromeTraceExportTest, FullSystemTraceIsValidWithMonotonicTimestamps) {
@@ -87,9 +104,14 @@ TEST(ChromeTraceExportTest, FullSystemTraceIsValidWithMonotonicTimestamps) {
       halt a0
   )"));
   RingBufferSink ring;
-  system.SetTraceSink(&ring);
+  SpanSink spans;
+  TeeSink tee;
+  tee.Add(&ring);
+  tee.Add(&spans);
+  system.SetTraceSink(&tee);
   MustHalt(system, 4);
   system.SetTraceSink(nullptr);
+  spans.Finalize(system.core().cycle());
 
   const std::vector<TraceEvent> events = ring.Events();
   ASSERT_FALSE(events.empty());
@@ -100,8 +122,9 @@ TEST(ChromeTraceExportTest, FullSystemTraceIsValidWithMonotonicTimestamps) {
     EXPECT_GE(events[i].cycle, events[i - 1].cycle) << "event " << i;
   }
   std::ostringstream out;
-  ExportChromeTrace(events, out);
+  ExportChromeTrace(events, spans.Spans(), out);
   EXPECT_TRUE(JsonLooksValid(out.str()));
+  EXPECT_EQ(Count(out.str(), "\"mroutine 1\""), 4u);
 
   uint64_t retires = 0;
   uint64_t menters = 0;

@@ -1,6 +1,6 @@
-// Retirement-trace facility: program order, Metal-mode attribution, and
-// agreement with the instret counter — plus the structured event tracer
-// (trace/trace.h) fed from the same pipeline.
+// The retired-instruction stream (kRetire trace events): program order,
+// Metal-mode attribution, and agreement with the instret counter — plus the
+// other structured events (trace/trace.h) fed from the same pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,16 +28,17 @@ TEST(RetireTraceTest, EventsArriveInProgramOrder) {
     .data
     word: .word 5, 0
   )")));
-  std::vector<Core::RetireEvent> events;
-  core.SetRetireTrace([&](const Core::RetireEvent& event) { events.push_back(event); });
+  RingBufferSink retires = RetireRing();
+  core.SetTraceSink(&retires);
   MustHalt(core, 0);
+  const std::vector<TraceEvent> events = retires.Events();
   ASSERT_EQ(events.size(), core.stats().instret);
   // Cycles are non-decreasing and pcs follow the executed path.
   for (size_t i = 1; i < events.size(); ++i) {
     EXPECT_GE(events[i].cycle, events[i - 1].cycle);
   }
   EXPECT_EQ(events.front().pc, 0x1000u);
-  EXPECT_EQ(DecodeInstr(events.back().raw).kind, InstrKind::kHalt);
+  EXPECT_EQ(DecodeInstr(events.back().arg0).kind, InstrKind::kHalt);
   // The loop body retires exactly 3 times (bnez at 0x1008).
   int loop_branches = 0;
   for (const auto& event : events) {
@@ -49,7 +50,7 @@ TEST(RetireTraceTest, EventsArriveInProgramOrder) {
   // Loads and stores (MEM-retired) appear in order with ALU ops.
   std::vector<InstrKind> kinds;
   for (const auto& event : events) {
-    kinds.push_back(DecodeInstr(event.raw).kind);
+    kinds.push_back(DecodeInstr(event.arg0).kind);
   }
   const auto lw_it = std::find(kinds.begin(), kinds.end(), InstrKind::kLw);
   const auto sw_it = std::find(kinds.begin(), kinds.end(), InstrKind::kSw);
@@ -72,12 +73,14 @@ TEST(RetireTraceTest, MetalInstructionsAttributed) {
       menter 1
       halt a0
   )")));
+  RingBufferSink retires = RetireRing();
+  core.SetTraceSink(&retires);
+  MustHalt(core, 2);
   uint64_t metal_events = 0;
   uint64_t normal_events = 0;
-  core.SetRetireTrace([&](const Core::RetireEvent& event) {
+  for (const TraceEvent& event : retires.Events()) {
     (event.metal ? metal_events : normal_events) += 1;
-  });
-  MustHalt(core, 2);
+  }
   EXPECT_EQ(metal_events, core.stats().metal_instret);
   EXPECT_EQ(metal_events + normal_events, core.stats().instret);
   EXPECT_GE(metal_events, 2u);  // the two mroutine addis
@@ -93,14 +96,13 @@ TEST(RetireTraceTest, SquashedInstructionsNeverRetire) {
     over:
       halt zero
   )")));
-  bool saw_skipped = false;
-  core.SetRetireTrace([&](const Core::RetireEvent& event) {
-    if (event.pc == 0x1004) {
-      saw_skipped = true;
-    }
-  });
+  RingBufferSink retires = RetireRing();
+  core.SetTraceSink(&retires);
   MustHalt(core, 0);
-  EXPECT_FALSE(saw_skipped);
+  for (const TraceEvent& event : retires.Events()) {
+    EXPECT_NE(event.pc, 0x1004u);
+  }
+  EXPECT_EQ(retires.total(), core.stats().instret);
 }
 
 std::vector<TraceEvent> EventsOfKind(const std::vector<TraceEvent>& events,

@@ -19,8 +19,8 @@
 //   --locations N       sample locations only from each structure's first N
 //                       words/registers/entries/lines (0 = whole structure);
 //                       focuses the fault space on the guest's live state
-//   --snapshots N       golden-run fork points (default 8; 0 = cold-start)
-//   --no-fork           cold-start every trial (debugging / verification)
+//   --snapshots N       golden-run fork points (default 8; 0 = cold-start
+//                       every trial, for debugging / verification)
 //   --hang-factor N     hang budget = golden cycles * N (default 4, min 2)
 //   --max-cycles N      golden-run cycle budget (default 50M)
 //   --campaign-json F   write the campaign report JSON to F (default stdout)
@@ -36,11 +36,11 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.h"
+#include "cli_util.h"
 #include "cpu/trap.h"
 #include "metal/system.h"
 #include "support/exit_codes.h"
@@ -57,34 +57,9 @@ int Usage() {
                "            [--storage mram|dram-cached|dram-uncached] [--no-fast]\n"
                "            [--no-fast-step] [--no-parity] [--watchdog N]\n"
                "            [--target T]... [--trials N] [--seed N] [--locations N]\n"
-               "            [--snapshots N]\n"
-               "            [--no-fork] [--hang-factor N] [--max-cycles N]\n"
+               "            [--snapshots N] [--hang-factor N] [--max-cycles N]\n"
                "            [--campaign-json FILE] [--out DIR] [--trial-log]\n");
   return kExitUsage;
-}
-
-bool ParseU64Flag(const char* flag, const std::string& text, uint64_t* out) {
-  const auto value = ParseInt(text);
-  if (!value || *value < 0) {
-    std::fprintf(stderr, "invalid value for %s: '%s' (want a non-negative integer)\n", flag,
-                 text.c_str());
-    return false;
-  }
-  *out = static_cast<uint64_t>(*value);
-  return true;
-}
-
-bool ParseStorageMode(const std::string& mode, MroutineStorage* out) {
-  if (mode == "mram") {
-    *out = MroutineStorage::kMram;
-  } else if (mode == "dram-cached") {
-    *out = MroutineStorage::kDramCached;
-  } else if (mode == "dram-uncached") {
-    *out = MroutineStorage::kDramUncached;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 bool ParseTarget(const std::string& name, FaultTarget* out) {
@@ -97,16 +72,6 @@ bool ParseTarget(const std::string& name, FaultTarget* out) {
     }
   }
   return false;
-}
-
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return NotFound(StrFormat("cannot open '%s'", path.c_str()));
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
 }
 
 // Final path component, for naming guest copies inside SDC repro dirs.
@@ -129,7 +94,12 @@ int CmdRun(const std::vector<std::string>& args) {
       mcode_paths.push_back(args[++i]);
     } else if (arg == "--mcheck-entry" && i + 1 < args.size()) {
       uint64_t entry = 0;
-      if (!ParseU64Flag("--mcheck-entry", args[++i], &entry) || entry > 255) {
+      if (!ParseU64Flag("--mcheck-entry", args[++i], &entry)) {
+        return kExitUsage;
+      }
+      if (entry > 255) {
+        std::fprintf(stderr, "invalid value for --mcheck-entry: %llu (want 0..255)\n",
+                     (unsigned long long)entry);
         return kExitUsage;
       }
       mcheck_entry = static_cast<int64_t>(entry);
@@ -170,19 +140,25 @@ int CmdRun(const std::vector<std::string>& args) {
       }
     } else if (arg == "--locations" && i + 1 < args.size()) {
       uint64_t locations = 0;
-      if (!ParseU64Flag("--locations", args[++i], &locations) || locations > UINT32_MAX) {
+      if (!ParseU64Flag("--locations", args[++i], &locations)) {
+        return kExitUsage;
+      }
+      if (locations > UINT32_MAX) {
+        std::fprintf(stderr, "invalid value for --locations: %llu (want 0..%u)\n",
+                     (unsigned long long)locations, UINT32_MAX);
         return kExitUsage;
       }
       options.max_location = static_cast<uint32_t>(locations);
     } else if (arg == "--snapshots" && i + 1 < args.size()) {
       uint64_t snapshots = 0;
-      if (!ParseU64Flag("--snapshots", args[++i], &snapshots) || snapshots > 1024) {
+      if (!ParseU64Flag("--snapshots", args[++i], &snapshots)) {
+        return kExitUsage;
+      }
+      if (snapshots > 1024) {
         std::fprintf(stderr, "invalid value for --snapshots (want 0..1024)\n");
         return kExitUsage;
       }
       options.snapshots = static_cast<uint32_t>(snapshots);
-    } else if (arg == "--no-fork") {
-      options.use_forks = false;
     } else if (arg == "--hang-factor" && i + 1 < args.size()) {
       if (!ParseU64Flag("--hang-factor", args[++i], &options.hang_factor)) {
         return kExitUsage;

@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "campaign/campaign.h"
+#include "cli_util.h"
 #include "fault/fault.h"
 #include "metal/system.h"
 #include "snap/diverge.h"
@@ -74,17 +75,6 @@ int Usage() {
                "             [--oracle all|determinism|storage|fast|faststep|injection]\n"
                "             [--no-parity] [--out DIR]\n");
   return kExitUsage;
-}
-
-bool ParseU64Flag(const char* flag, const std::string& text, uint64_t* out) {
-  const auto value = ParseInt(text);
-  if (!value || *value < 0) {
-    std::fprintf(stderr, "invalid value for %s: '%s' (want a non-negative integer)\n", flag,
-                 text.c_str());
-    return false;
-  }
-  *out = static_cast<uint64_t>(*value);
-  return true;
 }
 
 // ---------------------------------------------------------------------------

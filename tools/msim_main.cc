@@ -76,6 +76,7 @@
 #include <vector>
 
 #include "asm/assembler.h"
+#include "cli_util.h"
 #include "cpu/core.h"
 #include "fault/crash_dump.h"
 #include "fault/fault.h"
@@ -87,7 +88,6 @@
 #include "support/exit_codes.h"
 #include "support/strings.h"
 #include "synth/designs.h"
-#include "trace/flight.h"
 #include "trace/json.h"
 #include "trace/metrics.h"
 #include "trace/profiler.h"
@@ -120,33 +120,6 @@ int Usage() {
                "  msim asm <file.s>\n"
                "  msim table2\n");
   return kExitUsage;
-}
-
-// Strict numeric flag parsing (support/strings.h ParseInt): rejects trailing
-// junk ("100abc"), bare garbage and values that overflow, instead of the
-// strtoull behaviour of silently yielding 0 or saturating.
-bool ParseU64Flag(const char* flag, const std::string& text, uint64_t* out) {
-  const auto value = ParseInt(text);
-  if (!value || *value < 0) {
-    std::fprintf(stderr, "invalid value for %s: '%s' (want a non-negative integer)\n", flag,
-                 text.c_str());
-    return false;
-  }
-  *out = static_cast<uint64_t>(*value);
-  return true;
-}
-
-bool ParseStorageMode(const std::string& mode, MroutineStorage* out) {
-  if (mode == "mram") {
-    *out = MroutineStorage::kMram;
-  } else if (mode == "dram-cached") {
-    *out = MroutineStorage::kDramCached;
-  } else if (mode == "dram-uncached") {
-    *out = MroutineStorage::kDramUncached;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 // Machine options shared by `run` and `replay` (for replay, configuration A).
@@ -233,16 +206,6 @@ void InstallStopHandlers() {
 // so this only bounds stop latency, ~1 ms of host time per chunk.
 constexpr uint64_t kSignalPollCycles = 1u << 16;
 
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return NotFound(StrFormat("cannot open '%s'", path.c_str()));
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
 // Enumerates the core's MetricRegistry instead of hand-copying struct fields;
 // every counter any component registered shows up here automatically. Written
 // to stderr with the rest of the human-readable reporting: stdout is reserved
@@ -257,6 +220,23 @@ void PrintStats(Core& core) {
   core.metrics().WriteText(text);
   std::fputs(text.str().c_str(), stderr);
 }
+
+// --trace N: prints the first N retired instructions to stderr.
+class RetirePrinter : public TraceSink {
+ public:
+  explicit RetirePrinter(uint64_t limit) : remaining_(limit) {}
+  void OnEvent(const TraceEvent& event) override {
+    if (event.kind != TraceEventKind::kRetire || remaining_ == 0) {
+      return;
+    }
+    --remaining_;
+    std::fprintf(stderr, "%10llu  %c %08x  %s\n", (unsigned long long)event.cycle,
+                 event.metal ? 'M' : ' ', event.pc, Disassemble(event.arg0).c_str());
+  }
+
+ private:
+  uint64_t remaining_;
+};
 
 bool WriteStatsJson(MetalSystem& system, const RunResult& result, const char* reason_name,
                     const std::string& program_path, const MroutineProfiler* profiler,
@@ -296,7 +276,7 @@ bool WriteStatsJson(MetalSystem& system, const RunResult& result, const char* re
   return out.good();
 }
 
-bool WriteTraceJson(const RingBufferSink& ring, const SpanSink* spans, const std::string& path) {
+bool WriteTraceJson(const RingBufferSink& ring, const SpanSink& spans, const std::string& path) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
@@ -306,11 +286,7 @@ bool WriteTraceJson(const RingBufferSink& ring, const SpanSink* spans, const std
     std::fprintf(stderr, "[trace] ring buffer dropped %llu of %llu events\n",
                  (unsigned long long)ring.dropped(), (unsigned long long)ring.total());
   }
-  if (spans != nullptr) {
-    ExportChromeTraceWithSpans(ring.Events(), spans->Spans(), out);
-  } else {
-    ExportChromeTrace(ring.Events(), out);
-  }
+  ExportChromeTrace(ring.Events(), spans.Spans(), out);
   return out.good();
 }
 
@@ -324,7 +300,7 @@ int CmdRun(const std::vector<std::string>& args) {
   std::string trace_json_path;
   bool profile_mroutines = false;
   std::string crash_dump_path;
-  uint64_t flight_events = FlightRecorder::kDefaultCapacity;
+  uint64_t flight_events = kFlightCapacity;
   uint64_t metrics_every = 0;
   std::string metrics_jsonl_path;
   uint64_t checkpoint_every = 0;
@@ -349,10 +325,10 @@ int CmdRun(const std::vector<std::string>& args) {
       if (!ParseU64Flag("--flight-events", args[++i], &flight_events)) {
         return 2;
       }
-      if (flight_events == 0 || flight_events > (1u << 20)) {
+      if (flight_events == 0 || flight_events > kMaxFlightCapacity) {
         std::fprintf(stderr,
-                     "invalid value for --flight-events: %llu (want 1..%u)\n",
-                     (unsigned long long)flight_events, 1u << 20);
+                     "invalid value for --flight-events: %llu (want 1..%llu)\n",
+                     (unsigned long long)flight_events, (unsigned long long)kMaxFlightCapacity);
         return 2;
       }
     } else if (arg == "--metrics-every" && i + 1 < args.size()) {
@@ -463,13 +439,15 @@ int CmdRun(const std::vector<std::string>& args) {
   }
 
   // Structured-event sinks. The ring buffer feeds the Chrome-trace export and
-  // the crash dump's last-N event window; the profiler, span sink and flight
-  // recorder aggregate in place. When several consumers are requested they
-  // share one stream through a tee.
+  // the crash dump's last-N event window; the flight recorder keeps the
+  // architectural events for the crash dump; the profiler and span sink
+  // aggregate in place; --trace prints retires. When several consumers are
+  // requested they share one stream through a tee.
   RingBufferSink ring;
   MroutineProfiler profiler;
   SpanSink spans;
-  FlightRecorder flight(static_cast<size_t>(flight_events));
+  RingBufferSink flight(static_cast<size_t>(flight_events), kFlightKinds);
+  RetirePrinter retire_printer(trace_limit);
   TeeSink tee;
   TraceSink* sink = nullptr;
   const bool want_ring = !trace_json_path.empty() || !crash_dump_path.empty();
@@ -490,6 +468,9 @@ int CmdRun(const std::vector<std::string>& args) {
   if (want_flight) {
     sinks.push_back(&flight);
   }
+  if (trace_limit != 0) {
+    sinks.push_back(&retire_printer);
+  }
   if (sinks.size() == 1) {
     sink = sinks.front();
   } else if (!sinks.empty()) {
@@ -504,17 +485,6 @@ int CmdRun(const std::vector<std::string>& args) {
   if (want_spans) {
     spans.SetWatchdogBudget(config.metal_watchdog_cycles);
     spans.RegisterMetrics(system.metrics());
-  }
-
-  uint64_t traced = 0;
-  if (trace_limit != 0) {
-    system.core().SetRetireTrace([&traced, trace_limit](const Core::RetireEvent& event) {
-      if (traced++ >= trace_limit) {
-        return;
-      }
-      std::fprintf(stderr, "%10llu  %c %08x  %s\n", (unsigned long long)event.cycle,
-                   event.metal ? 'M' : ' ', event.pc, Disassemble(event.raw).c_str());
-    });
   }
 
   // Restore replaces the freshly-booted machine state wholesale, so boot
@@ -749,7 +719,7 @@ int CmdRun(const std::vector<std::string>& args) {
                             want_profile ? &profiler : nullptr, stats_json_path);
   }
   if (!trace_json_path.empty()) {
-    io_ok &= WriteTraceJson(ring, want_spans ? &spans : nullptr, trace_json_path);
+    io_ok &= WriteTraceJson(ring, spans, trace_json_path);
   }
   if (!crash_dump_path.empty()) {
     // Written for every outcome (the reason field records which), so fatal
