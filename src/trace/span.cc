@@ -1,6 +1,8 @@
 #include "trace/span.h"
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 
 #include "snap/snapstream.h"
 #include "support/strings.h"
@@ -43,6 +45,11 @@ void SpanSink::Open(SpanClass cls, uint32_t code, uint32_t entry, uint64_t cycle
   span.begin_cycle = cycle;
   open_.push_back(span);
   ++opened_;
+  if (cls == SpanClass::kMenter) {
+    ++Row(entry).enters;
+  } else if (cls == SpanClass::kTrap || cls == SpanClass::kInterrupt) {
+    ++Row(entry).trap_enters;
+  }
 }
 
 void SpanSink::Close(uint64_t cycle, bool aborted) {
@@ -51,6 +58,8 @@ void SpanSink::Close(uint64_t cycle, bool aborted) {
   span.end_cycle = cycle;
   span.closed = true;
   span.aborted = aborted;
+  Row(span.entry).cycles += span.cycles();
+  last_entry_ = span.entry;
   if (aborted) {
     ++aborted_;
   } else {
@@ -136,8 +145,18 @@ void SpanSink::OnEvent(const TraceEvent& event) {
       Open(SpanClass::kMachineCheck, event.arg0, Span::kNoEntry, event.cycle, cause);
       break;
     }
+    case TraceEventKind::kRetire:
+      if (!event.metal) {
+        ++normal_instret_;
+      } else {
+        ++Row(open_.empty() ? last_entry_ : open_.back().entry).instret;
+      }
+      break;
+    case TraceEventKind::kChainFold:
+      ++chain_folds_;
+      break;
     default:
-      break;  // retires, misses, stalls, folds: not span-delimiting
+      break;  // misses, stalls, injections: neither delimit nor count
   }
 }
 
@@ -177,34 +196,75 @@ std::vector<Span> SpanSink::Spans() const {
   return out;
 }
 
-void SpanSink::AppendJson(JsonWriter& json) const {
-  json.Field("opened", opened_);
-  json.Field("closed", closed_);
-  json.Field("aborted", aborted_);
-  json.Field("retained_dropped", retained_dropped_);
-  json.BeginArray("spans");
-  for (const Span& span : Spans()) {
+SpanSink::EntryProfile SpanSink::total() const {
+  EntryProfile total;
+  for (const EntryProfile& row : rows_) {
+    total.enters += row.enters;
+    total.trap_enters += row.trap_enters;
+    total.instret += row.instret;
+    total.cycles += row.cycles;
+  }
+  return total;
+}
+
+namespace {
+bool Touched(const SpanSink::EntryProfile& row) {
+  return row.total_enters() != 0 || row.instret != 0 || row.cycles != 0;
+}
+}  // namespace
+
+void SpanSink::WriteProfileText(std::ostream& out, uint64_t total_cycles) const {
+  char line[160];
+  out << "--- per-mroutine profile ---\n";
+  std::snprintf(line, sizeof(line), "%-8s %10s %10s %12s %12s %8s\n", "entry", "menters",
+                "traps", "instret", "cycles", "%cycles");
+  out << line;
+  for (uint32_t entry = 0; entry <= kMaxMroutines; ++entry) {
+    const EntryProfile& row = rows_[entry];
+    if (!Touched(row)) {
+      continue;
+    }
+    const std::string label = entry == kMaxMroutines ? "(other)" : StrFormat("%u", entry);
+    const double pct =
+        total_cycles != 0 ? 100.0 * static_cast<double>(row.cycles) / total_cycles : 0.0;
+    std::snprintf(line, sizeof(line),
+                  "%-8s %10" PRIu64 " %10" PRIu64 " %12" PRIu64 " %12" PRIu64 " %7.2f%%\n",
+                  label.c_str(), row.enters, row.trap_enters, row.instret, row.cycles, pct);
+    out << line;
+  }
+  const EntryProfile metal = total();
+  const uint64_t normal_cycles = total_cycles >= metal.cycles ? total_cycles - metal.cycles : 0;
+  std::snprintf(line, sizeof(line),
+                "normal: %" PRIu64 " instret / %" PRIu64 " cycles;  Metal: %" PRIu64
+                " instret / %" PRIu64 " cycles;  chain folds: %" PRIu64 "\n",
+                normal_instret_, normal_cycles, metal.instret, metal.cycles, chain_folds_);
+  out << line;
+}
+
+void SpanSink::AppendProfileJson(JsonWriter& json, uint64_t total_cycles) const {
+  json.BeginArray("entries");
+  for (uint32_t entry = 0; entry <= kMaxMroutines; ++entry) {
+    const EntryProfile& row = rows_[entry];
+    if (!Touched(row)) {
+      continue;
+    }
     json.BeginObject();
-    json.Field("id", span.id);
-    json.Field("class", SpanClassName(span.cls));
-    json.Field("code", span.code);
-    if (span.entry != Span::kNoEntry) {
-      json.Field("entry", span.entry);
-    }
-    json.Field("begin", span.begin_cycle);
-    json.Field("end", span.end_cycle);
-    if (span.parent != 0) {
-      json.Field("parent", span.parent);
-    }
-    if (span.cause != 0) {
-      json.Field("cause", span.cause);
-    }
-    if (span.aborted) {
-      json.Field("aborted", true);
-    }
+    json.Field("entry", entry == kMaxMroutines ? int64_t{-1} : int64_t{entry});
+    json.Field("menters", row.enters);
+    json.Field("trap_enters", row.trap_enters);
+    json.Field("instret", row.instret);
+    json.Field("cycles", row.cycles);
     json.EndObject();
   }
   json.EndArray();
+  const EntryProfile metal = total();
+  json.BeginObject("totals");
+  json.Field("total_cycles", total_cycles);
+  json.Field("metal_cycles", metal.cycles);
+  json.Field("metal_instret", metal.instret);
+  json.Field("normal_instret", normal_instret_);
+  json.Field("chain_folds", chain_folds_);
+  json.EndObject();
 }
 
 namespace {
@@ -235,6 +295,9 @@ Span RestoreSpan(SnapReader& r) {
   span.aborted = r.Bool();
   return span;
 }
+
+// Bytes SaveSpan writes per span.
+constexpr uint64_t kSavedSpanBytes = 51;
 }  // namespace
 
 void SpanSink::SaveState(SnapWriter& w) const {
@@ -256,6 +319,11 @@ void SpanSink::SaveState(SnapWriter& w) const {
   machine_check_latency_.SaveState(w);
   scrub_retry_latency_.SaveState(w);
   watchdog_margin_.SaveState(w);
+  const std::vector<Span> done = Spans();
+  w.U64(static_cast<uint64_t>(done.size()));
+  for (const Span& span : done) {
+    SaveSpan(w, span);
+  }
 }
 
 Status SpanSink::RestoreState(SnapReader& r) {
@@ -281,10 +349,67 @@ Status SpanSink::RestoreState(SnapReader& r) {
   MSIM_RETURN_IF_ERROR(machine_check_latency_.RestoreState(r));
   MSIM_RETURN_IF_ERROR(scrub_retry_latency_.RestoreState(r));
   MSIM_RETURN_IF_ERROR(watchdog_margin_.RestoreState(r));
-  // The retained ring restarts at restore (export state, not statistics).
   done_.clear();
   done_next_ = 0;
+  const uint64_t done_count = r.AtEnd() ? 0 : r.U64();
+  if (done_count > r.remaining() / kSavedSpanBytes) {
+    return InvalidArgument("span snapshot: implausible retained-span count");
+  }
+  for (uint64_t i = 0; i < done_count; ++i) {
+    const Span span = RestoreSpan(r);
+    // Oldest first: a smaller ring keeps the newest `retain_` spans.
+    if (done_count - i <= retain_) {
+      done_.push_back(span);
+    }
+  }
   return r.ToStatus("span sink");
+}
+
+void SpanSink::SaveProfileState(SnapWriter& w) const {
+  for (const EntryProfile& row : rows_) {
+    w.U64(row.enters);
+    w.U64(row.trap_enters);
+    w.U64(row.instret);
+    w.U64(row.cycles);
+  }
+  w.U64(normal_instret_);
+  w.U64(chain_folds_);
+  const Span* current = open_.empty() ? nullptr : &open_.back();
+  const bool current_known = current != nullptr && current->entry < kMaxMroutines;
+  w.Bool(current != nullptr);
+  w.Bool(current_known);
+  w.U32(current_known ? current->entry : 0);
+  w.U64(current != nullptr ? current->begin_cycle : 0);
+  w.Bool(last_entry_ < kMaxMroutines);
+  w.U32(last_entry_ < kMaxMroutines ? last_entry_ : 0);
+}
+
+Status SpanSink::RestoreProfileState(SnapReader& r) {
+  for (EntryProfile& row : rows_) {
+    row.enters = r.U64();
+    row.trap_enters = r.U64();
+    row.instret = r.U64();
+    row.cycles = r.U64();
+  }
+  normal_instret_ = r.U64();
+  chain_folds_ = r.U64();
+  const bool in_metal = r.Bool();
+  const bool current_known = r.Bool();
+  const uint32_t current_entry = r.U32();
+  const uint64_t span_start = r.U64();
+  const bool last_known = r.Bool();
+  const uint32_t last_entry = r.U32();
+  last_entry_ = last_known ? last_entry : Span::kNoEntry;
+  // A "spans" section, restored before or after this one, carries the full
+  // open stack; without it, reopen the innermost span the profile charges.
+  if (in_metal && open_.empty()) {
+    Span span;
+    span.id = next_id_++;
+    span.entry = current_known ? current_entry : Span::kNoEntry;
+    span.begin_cycle = span_start;
+    open_.push_back(span);
+  }
+  return r.ToStatus("mroutine profile");
 }
 
 // ---------------------------------------------------------------------------

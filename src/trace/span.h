@@ -17,18 +17,33 @@
 // (trace/histogram.h): trap entry->resume per exception cause, interrupt
 // delivery, menter calls, machine-check recovery, scrub-retry and — when a
 // watchdog budget is configured — the per-span margin left under that
-// budget. Everything is computed from committed trace events only, so fast
-// (StepFast) and per-cycle runs produce identical spans and histograms, and
-// SaveState/RestoreState make a restored run's statistics byte-identical.
+// budget.
+//
+// The same spans give the per-mroutine profile. A span's cycles go to its
+// entry when it closes or aborts; a Metal retire goes to the innermost open
+// span's entry or, with none open, to the entry of the span that closed last
+// (the slow-path mexit retires after its own exit event). Machine-check and
+// scrub-retry spans carry no entry, so they land in the "(other)" row. A span
+// covers exactly the cycles CoreStats counts as Metal cycles (after the
+// entering event, up to and including the exiting one), so the profile sums
+// to CoreStats.metal_cycles and metal_instret when the sink sees the whole
+// run.
+//
+// Everything is computed from committed trace events only, so fast
+// (StepFast) and per-cycle runs produce identical spans, histograms and
+// profiles, and the checkpoint sections make a restored run's statistics
+// byte-identical.
 #ifndef MSIM_TRACE_SPAN_H_
 #define MSIM_TRACE_SPAN_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <ostream>
 #include <vector>
 
 #include "cpu/trap.h"
+#include "isa/isa.h"
 #include "support/result.h"
 #include "trace/histogram.h"
 #include "trace/trace.h"
@@ -72,8 +87,18 @@ struct Span {
 
 class SpanSink : public TraceSink {
  public:
+  // One row of the per-mroutine profile.
+  struct EntryProfile {
+    uint64_t enters = 0;       // menter invocations (fast or slow path)
+    uint64_t trap_enters = 0;  // deliveries via exception/interrupt/intercept
+    uint64_t instret = 0;      // Metal instructions retired under this entry
+    uint64_t cycles = 0;       // Metal cycles attributed to this entry
+
+    uint64_t total_enters() const { return enters + trap_enters; }
+  };
+
   // Keeps the most recent `retain` completed spans for export; aggregate
-  // counters and histograms cover the whole run regardless.
+  // counters, histograms and the profile cover the whole run regardless.
   explicit SpanSink(size_t retain = 4096);
 
   void OnEvent(const TraceEvent& event) override;
@@ -107,22 +132,39 @@ class SpanSink : public TraceSink {
   const Histogram& scrub_retry_latency() const { return scrub_retry_latency_; }
   const Histogram& watchdog_margin() const { return watchdog_margin_; }
 
-  // Appends {"opened": ..., "closed": ..., "aborted": ..., "spans": [...]}
-  // members (the retained spans with their links) to an open object.
-  void AppendJson(JsonWriter& json) const;
+  // Per-mroutine profile: one row per entry, then the (other) row for Metal
+  // activity tied to no entry (machine-check and scrub-retry spans, retires
+  // seen before any span).
+  const std::array<EntryProfile, kMaxMroutines + 1>& entries() const { return rows_; }
+  const EntryProfile& other() const { return rows_[kMaxMroutines]; }
+  EntryProfile total() const;  // sum of all rows: the run's Metal totals
+  uint64_t normal_instret() const { return normal_instret_; }
+  uint64_t chain_folds() const { return chain_folds_; }
 
-  // Checkpoint/restore (src/snap): counters, histograms and the open-span
-  // stack. The retained completed-span ring is bounded export state and is
-  // not serialized; a restored run's Chrome trace holds only the spans that
-  // completed after the restore point.
+  // Paper-style breakdown (normal vs. Metal vs. per-entry), skipping entries
+  // that were never entered. `total_cycles` scales the %cycles column.
+  void WriteProfileText(std::ostream& out, uint64_t total_cycles) const;
+
+  // Appends {"entries": [...], "totals": {...}} members to an open object.
+  void AppendProfileJson(JsonWriter& json, uint64_t total_cycles) const;
+
+  // Checkpoint/restore (src/snap), one method pair per snapshot section.
+  // "spans": counters, histograms, the open-span stack and the retained
+  // spans (a payload that predates the retained list restores an empty one).
   void SaveState(SnapWriter& w) const;
   Status RestoreState(SnapReader& r);
+  // "profiler": the profile rows plus the innermost open span's entry and
+  // start and the last closed span's entry. Restored without "spans", it
+  // reopens that span so the rest of the episode is still charged.
+  void SaveProfileState(SnapWriter& w) const;
+  Status RestoreProfileState(SnapReader& r);
 
  private:
   void Open(SpanClass cls, uint32_t code, uint32_t entry, uint64_t cycle, uint64_t cause);
   void Close(uint64_t cycle, bool aborted);
   void Retain(const Span& span);
   void RecordLatency(const Span& span);
+  EntryProfile& Row(uint32_t entry) { return rows_[std::min<uint32_t>(entry, kMaxMroutines)]; }
 
   std::vector<Span> open_;   // stack, innermost last
   std::vector<Span> done_;   // ring of retained completed spans
@@ -141,6 +183,11 @@ class SpanSink : public TraceSink {
   Histogram machine_check_latency_;
   Histogram scrub_retry_latency_;
   Histogram watchdog_margin_;
+
+  std::array<EntryProfile, kMaxMroutines + 1> rows_{};
+  uint64_t normal_instret_ = 0;
+  uint64_t chain_folds_ = 0;
+  uint32_t last_entry_ = Span::kNoEntry;  // entry of the span that closed last
 };
 
 // Writes Chrome trace_event JSON ({"traceEvents": [...]}) that loads in

@@ -8,8 +8,8 @@
 //   * RingBufferSink keeps the most recent N events of the kinds it records
 //     (drop-oldest); filtered to kFlightKinds it is the flight recorder,
 //   * TeeSink fans one event stream out to several sinks,
-//   * MroutineProfiler (trace/profiler.h) aggregates instead of recording,
-//   * SpanSink (trace/span.h) links transitions into service spans; its
+//   * SpanSink (trace/span.h) links transitions into service spans and
+//     aggregates their latencies and the per-mroutine profile; its
 //     ExportChromeTrace writes the Chrome trace_event JSON file.
 #ifndef MSIM_TRACE_TRACE_H_
 #define MSIM_TRACE_TRACE_H_

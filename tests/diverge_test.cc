@@ -5,15 +5,19 @@
 // storage/transition modes architecturally invisible.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <sstream>
 #include <string>
 
 #include "cpu/core.h"
+#include "fault/crash_dump.h"
 #include "fault/fault.h"
 #include "metal/system.h"
 #include "snap/diverge.h"
+#include "snap/snapshot.h"
+#include "snap/snapstream.h"
 #include "support/exit_codes.h"
 #include "tests/sim_test_util.h"
 #include "trace/trace.h"
@@ -267,6 +271,67 @@ TEST(MsimCliTest, TraceFlagPrintsFirstRetiresToStderr) {
             "        27    00001004  addi t0, t0, -1\n"
             "        28    00001008  bne t0, zero, -4\n"
             "[halted] exit=0 cycles=61 instret=22\n");
+}
+
+// A fresh directory under the test temp dir, removed when the test ends.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& name)
+      : path(testing::TempDir() + "/msim-cli-" + name + "-" + std::to_string(::getpid())) {
+    std::system(("rm -rf '" + path + "' && mkdir -p '" + path + "'").c_str());
+  }
+  ~ScratchDir() { std::system(("rm -rf '" + path + "'").c_str()); }
+  std::string path;
+};
+
+TEST(MsimCliTest, RestoredTraceJsonMatchesStraightRun) {
+  // The checkpoint carries the span slices completed before it, so the
+  // restored run's Chrome trace is the straight run's, byte for byte.
+  const ScratchDir scratch("restored-trace");
+  const std::string& dir = scratch.path;
+  const std::string program = MSIM_TEST_DATA_DIR "/campaign_guest.s --mcode " MSIM_TEST_DATA_DIR
+                                                 "/campaign_mcode.s";
+  ASSERT_EQ(RunMsim("run " + program + " --trace-json " + dir + "/straight.json" +
+                    " --checkpoint-every 100 --checkpoint-dir " + dir + "/ckpts >/dev/null"),
+            60);
+  ASSERT_EQ(RunMsim("run " + program + " --restore " + dir + "/ckpts/checkpoint-100.msnap" +
+                    " --trace-json " + dir + "/restored.json >/dev/null"),
+            60);
+  const auto straight = ReadFileBytes(dir + "/straight.json");
+  const auto restored = ReadFileBytes(dir + "/restored.json");
+  ASSERT_OK(straight.status());
+  ASSERT_OK(restored.status());
+  EXPECT_EQ(*restored, *straight);
+}
+
+TEST(MsimCliTest, CrashDumpOnlyCheckpointKeepsOnlyTheDumpWindow) {
+  // Without --trace-json the trace ring feeds only the crash dump's last
+  // CrashDumpOptions::max_trace_events events, and is sized to match.
+  const ScratchDir scratch("dump-ring");
+  const std::string& dir = scratch.path;
+  ASSERT_EQ(RunMsim("run " MSIM_TEST_DATA_DIR "/memloop.s --crash-dump " + dir + "/dump.json" +
+                    " --checkpoint-every 20000 --checkpoint-dir " + dir + "/ckpts >/dev/null"),
+            0);
+  Core core{CoreConfig{}};
+  std::vector<SnapshotSection> extras;
+  ASSERT_OK(RestoreSnapshotFile(core, dir + "/ckpts/checkpoint-40000.msnap", &extras));
+  const SnapshotSection* ring = nullptr;
+  for (const SnapshotSection& section : extras) {
+    if (section.name == "ring") {
+      ring = &section;
+    }
+  }
+  ASSERT_NE(ring, nullptr);
+  SnapReader r(ring->payload);
+  const uint64_t capacity = r.U64();
+  const uint64_t total = r.U64();
+  r.U64();  // dropped
+  const uint64_t count = r.U64();
+  ASSERT_OK(r.ToStatus("ring"));
+  const uint64_t window = CrashDumpOptions{}.max_trace_events;
+  EXPECT_EQ(window, 64u);
+  EXPECT_LE(capacity, window);
+  EXPECT_LE(count, window);
+  EXPECT_GT(total, window);  // the window did roll over
 }
 
 }  // namespace

@@ -12,7 +12,9 @@
 
 #include "cpu/creg.h"
 #include "fault/fault.h"
+#include "isa/isa.h"
 #include "snap/snapstream.h"
+#include "support/strings.h"
 #include "tests/sim_test_util.h"
 #include "trace/json.h"
 #include "trace/metrics.h"
@@ -129,6 +131,14 @@ TEST(SpanSinkTest, MachineCheckAbortsAndChainsCauses) {
   EXPECT_EQ(sink.machine_check_latency().sum(), 30u);
   EXPECT_EQ(sink.scrub_retry_latency().count(), 1u);
   EXPECT_EQ(sink.scrub_retry_latency().sum(), 20u);
+
+  // The profile charges the aborted trap to its entry and the entry-less
+  // recovery and retry to (other).
+  EXPECT_EQ(sink.entries()[4].trap_enters, 1u);
+  EXPECT_EQ(sink.entries()[4].cycles, 10u);
+  EXPECT_EQ(sink.other().cycles, 50u);
+  EXPECT_EQ(sink.other().total_enters(), 0u);
+  EXPECT_EQ(sink.total().cycles, 60u);
 }
 
 TEST(SpanSinkTest, WatchdogMarginClampsAtZero) {
@@ -204,14 +214,18 @@ TEST(SpanSinkTest, SaveRestoreContinuesAcrossOpenSpan) {
   EXPECT_EQ(after.menter_latency().buckets(), straight.menter_latency().buckets());
   EXPECT_EQ(after.menter_latency().sum(), straight.menter_latency().sum());
   EXPECT_EQ(after.watchdog_margin().buckets(), straight.watchdog_margin().buckets());
-  // The mid-span snapshot preserved the open span's identity: ids keep
-  // matching the straight run after restore.
+  // The mid-span snapshot preserved the open span's identity, and the spans
+  // completed before it ride along: the retained list matches the straight
+  // run's span for span.
   const std::vector<Span> straight_spans = straight.Spans();
   const std::vector<Span> after_spans = after.Spans();
-  ASSERT_EQ(after_spans.size(), 2u);  // retained ring restarts at restore
-  EXPECT_EQ(after_spans[0].id, straight_spans[1].id);
-  EXPECT_EQ(after_spans[0].begin_cycle, 40u);
-  EXPECT_EQ(after_spans[0].end_cycle, 90u);
+  ASSERT_EQ(after_spans.size(), 3u);
+  for (size_t i = 0; i < after_spans.size(); ++i) {
+    EXPECT_EQ(after_spans[i].id, straight_spans[i].id);
+    EXPECT_EQ(after_spans[i].entry, straight_spans[i].entry);
+    EXPECT_EQ(after_spans[i].begin_cycle, straight_spans[i].begin_cycle);
+    EXPECT_EQ(after_spans[i].end_cycle, straight_spans[i].end_cycle);
+  }
 }
 
 TEST(SpanSinkTest, RegisterMetricsExposesCountersAndHistograms) {
@@ -238,6 +252,222 @@ TEST(SpanSinkTest, RegisterMetricsExposesCountersAndHistograms) {
   EXPECT_TRUE(JsonLooksValid(out.str())) << out.str();
   EXPECT_NE(out.str().find("\"menter\""), std::string::npos);
   EXPECT_EQ(out.str().find("\"trap_ecall\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint sections. Checkpoints written by earlier builds must keep
+// restoring, so the "spans" and "profiler" payload bytes may not drift.
+
+// A stream through every profile path, cut where a checkpoint lands inside an
+// interrupt span: a slow-path menter whose mexit retires after its exit
+// event, a chain fold, an ecall trap, then the interrupt.
+std::vector<TraceEvent> FirstHalf() {
+  return {
+      Event(TraceEventKind::kRetire, 0x08, 0x1000, 0x13),
+      Event(TraceEventKind::kMenter, 0x0a, 0x1004, /*entry=*/2, 0xf0000040),
+      Event(TraceEventKind::kRetire, 0x0b, 0xf0000040, 0x13, 0, true),
+      Event(TraceEventKind::kMexit, 0x0f, 0xf0000044, 0x1008, 0, true),
+      Event(TraceEventKind::kRetire, 0x0f, 0xf0000044, 0x0, 0, true),
+      Event(TraceEventKind::kChainFold, 0x11, 0x1008, 1, 1),
+      Event(TraceEventKind::kTrap, 0x14, 0x100c, static_cast<uint32_t>(ExcCause::kEcall),
+            /*entry=*/5),
+      Event(TraceEventKind::kRetire, 0x15, 0xf0000080, 0x13, 0, true),
+      Event(TraceEventKind::kMexit, 0x1a, 0xf0000084, 0x1010, 0, true),
+      Event(TraceEventKind::kInterrupt, 0x1e, 0x1010, 0x80000007u, /*entry=*/7),
+      Event(TraceEventKind::kRetire, 0x1f, 0xf00000c0, 0x13, 0, true),
+  };
+}
+
+std::vector<TraceEvent> SecondHalf() {
+  return {
+      Event(TraceEventKind::kMexit, 0x28, 0xf00000c4, 0x1014, 0, true),
+      Event(TraceEventKind::kRetire, 0x28, 0xf00000c4, 0x0, 0, true),
+      Event(TraceEventKind::kRetire, 0x29, 0x1014, 0x13),
+      Event(TraceEventKind::kMenter, 0x32, 0x1018, /*entry=*/2, 0xf0000040),
+      Event(TraceEventKind::kRetire, 0x33, 0xf0000040, 0x13, 0, true),
+      Event(TraceEventKind::kMexit, 0x35, 0xf0000044, 0x101c, 0, true),
+  };
+}
+
+constexpr uint64_t kPinBudget = 16;  // watchdog budget of the pinned sink
+constexpr uint64_t kPinFinalCycle = 0x40;
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  std::string out;
+  for (const uint8_t byte : bytes) {
+    out += StrFormat("%02x", byte);
+  }
+  return out;
+}
+
+std::vector<uint8_t> Unhex(const std::string& hex) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+// Little-endian field encodings, as SnapWriter lays them out.
+std::string Le(uint64_t value, int bytes) {
+  std::string out;
+  for (int i = 0; i < bytes; ++i) {
+    out += StrFormat("%02x", static_cast<unsigned>((value >> (8 * i)) & 0xff));
+  }
+  return out;
+}
+std::string U64(uint64_t value) { return Le(value, 8); }
+std::string U32(uint32_t value) { return Le(value, 4); }
+std::string Zeros(size_t bytes) { return std::string(2 * bytes, '0'); }
+
+// One span: id, parent, cause, class, code, entry, begin, end, closed, aborted.
+std::string SpanHex(uint64_t id, SpanClass cls, uint32_t code, uint32_t entry, uint64_t begin,
+                    uint64_t end, bool closed) {
+  return U64(id) + U64(0) + U64(0) + Le(static_cast<uint8_t>(cls), 1) + U32(code) +
+         U32(entry) + U64(begin) + U64(end) + Le(closed, 1) + Le(0, 1);
+}
+
+// 65 buckets, then count, sum, min, max; empty histograms hold min = ~0.
+std::string EmptyHistogramHex() { return Zeros(65 * 8) + U64(0) + U64(0) + U64(~0ull) + U64(0); }
+std::string OneBucketHex(int bucket, uint64_t count, uint64_t sum, uint64_t min, uint64_t max) {
+  return Zeros(bucket * 8) + U64(count) + Zeros((64 - bucket) * 8) + U64(count) + U64(sum) +
+         U64(min) + U64(max);
+}
+
+// The "spans" payload after FirstHalf(), up to (not including) the retained
+// list: the whole payload as builds before the retained list wrote it.
+std::string SpansSectionWithoutRetainedHex() {
+  std::string hex = U64(4) + U64(3) + U64(2) + U64(0) + U64(0) + U64(kPinBudget);  // next_id,
+  // opened, closed, aborted, retained_dropped, watchdog budget
+  hex += U64(1) + SpanHex(3, SpanClass::kInterrupt, 7, 7, 0x1e, 0, false);  // open stack
+  for (uint32_t cause = 0; cause < kNumExcCauses; ++cause) {  // trap latency per cause
+    hex += cause == static_cast<uint32_t>(ExcCause::kEcall) ? OneBucketHex(3, 1, 6, 6, 6)
+                                                             : EmptyHistogramHex();
+  }
+  hex += EmptyHistogramHex();             // interrupt
+  hex += OneBucketHex(3, 1, 5, 5, 5);     // menter
+  hex += EmptyHistogramHex();             // machine check
+  hex += EmptyHistogramHex();             // scrub-retry
+  hex += OneBucketHex(4, 2, 21, 10, 11);  // watchdog margin: 16 - 5, 16 - 6
+  return hex;
+}
+
+std::string SpansSectionHex() {
+  return SpansSectionWithoutRetainedHex() + U64(2) +
+         SpanHex(1, SpanClass::kMenter, 2, 2, 0x0a, 0x0f, true) +
+         SpanHex(2, SpanClass::kTrap, static_cast<uint32_t>(ExcCause::kEcall), 5, 0x14, 0x1a,
+                 true);
+}
+
+// The "profiler" payload after FirstHalf(): 64 entry rows and the (other)
+// row (menters, traps, instret, cycles), normal instret, chain folds, then
+// in-Metal, current-entry-known, current entry, span start, last-entry-known,
+// last entry. Builds with the standalone profiler wrote the same bytes.
+std::string ProfilerSectionHex() {
+  std::string hex;
+  for (uint32_t entry = 0; entry < kMaxMroutines; ++entry) {
+    switch (entry) {
+      case 2: hex += U64(1) + U64(0) + U64(2) + U64(5); break;
+      case 5: hex += U64(0) + U64(1) + U64(1) + U64(6); break;
+      case 7: hex += U64(0) + U64(1) + U64(1) + U64(0); break;
+      default: hex += Zeros(32); break;
+    }
+  }
+  hex += Zeros(32);              // (other)
+  hex += U64(1) + U64(1);        // normal instret, chain folds
+  hex += "01" "01" + U32(7) + U64(0x1e) + "01" + U32(5);
+  return hex;
+}
+
+SpanSink FeedFirstHalf() {
+  SpanSink sink;
+  sink.SetWatchdogBudget(kPinBudget);
+  for (const TraceEvent& event : FirstHalf()) {
+    sink.OnEvent(event);
+  }
+  return sink;
+}
+
+// Everything msim reports from a sink: span counters, histograms and the
+// per-mroutine profile in both formats.
+std::string Report(SpanSink& sink) {
+  MetricRegistry registry;
+  sink.RegisterMetrics(registry);
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.BeginObject();
+  registry.AppendJson(json);
+  registry.AppendHistogramsJson(json);
+  sink.AppendProfileJson(json, kPinFinalCycle);
+  json.EndObject();
+  sink.WriteProfileText(out, kPinFinalCycle);
+  return out.str();
+}
+
+TEST(SpanSinkTest, SpansSectionBytesArePinned) {
+  SpanSink sink = FeedFirstHalf();
+  SnapWriter w;
+  sink.SaveState(w);
+  EXPECT_EQ(Hex(w.bytes()), SpansSectionHex());
+}
+
+TEST(SpanSinkTest, ProfilerSectionBytesArePinned) {
+  SpanSink sink = FeedFirstHalf();
+  SnapWriter w;
+  sink.SaveProfileState(w);
+  EXPECT_EQ(Hex(w.bytes()), ProfilerSectionHex());
+}
+
+TEST(SpanSinkTest, EarlierBuildPayloadsRestoreToTheSameProfileAndHistograms) {
+  SpanSink straight = FeedFirstHalf();
+  for (const TraceEvent& event : SecondHalf()) {
+    straight.OnEvent(event);
+  }
+  straight.Finalize(kPinFinalCycle);
+  const std::string want = Report(straight);
+  // The second half charges the rest of the interrupt to entry 7, and its
+  // trailing mexit retire as well.
+  EXPECT_EQ(straight.entries()[7].cycles, 10u);
+  EXPECT_EQ(straight.entries()[7].instret, 2u);
+
+  const auto resume = [](bool with_spans_section) {
+    SpanSink sink;
+    const std::vector<uint8_t> profiler = Unhex(ProfilerSectionHex());
+    SnapReader profiler_reader(profiler);
+    EXPECT_OK(sink.RestoreProfileState(profiler_reader));
+    if (with_spans_section) {
+      const std::vector<uint8_t> spans = Unhex(SpansSectionWithoutRetainedHex());
+      SnapReader spans_reader(spans);
+      EXPECT_OK(sink.RestoreState(spans_reader));
+      EXPECT_TRUE(sink.Spans().empty());
+    }
+    for (const TraceEvent& event : SecondHalf()) {
+      sink.OnEvent(event);
+    }
+    sink.Finalize(kPinFinalCycle);
+    return sink;
+  };
+  SpanSink restored = resume(/*with_spans_section=*/true);
+  EXPECT_EQ(Report(restored), want);
+
+  // A profile-only checkpoint (--profile-mroutines without --stats-json)
+  // carries no "spans" section; the open interrupt is reopened from the
+  // profile's own bookkeeping.
+  SpanSink profile_only = resume(/*with_spans_section=*/false);
+  std::ostringstream want_text;
+  std::ostringstream got_text;
+  straight.WriteProfileText(want_text, kPinFinalCycle);
+  profile_only.WriteProfileText(got_text, kPinFinalCycle);
+  EXPECT_EQ(got_text.str(), want_text.str());
+}
+
+TEST(SpanSinkTest, RestoreRejectsTruncatedRetainedList) {
+  std::string hex = SpansSectionHex();
+  hex.resize(hex.size() - 2);  // drop the last byte of the last retained span
+  const std::vector<uint8_t> bytes = Unhex(hex);
+  SpanSink sink;
+  SnapReader r(bytes);
+  EXPECT_FALSE(sink.RestoreState(r).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-// Chrome trace_event exporter, the trace ring and the per-mroutine profiler.
+// Chrome trace_event exporter, the trace ring and the span-derived
+// per-mroutine profile.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 
+#include "fault/fault.h"
 #include "tests/sim_test_util.h"
 #include "trace/json.h"
-#include "trace/profiler.h"
 #include "trace/span.h"
 #include "trace/trace.h"
 
@@ -152,7 +154,7 @@ TEST(RingBufferSinkTest, DropsOldestBeyondCapacity) {
   EXPECT_EQ(events.back().cycle, 9u);
 }
 
-// Profiler attribution must agree with the core's own metal_cycles counter,
+// Profile attribution must agree with the core's own metal_cycles counter,
 // with both the decode-replacement fast path and the slow path.
 class MroutineProfilerAttributionTest : public ::testing::TestWithParam<bool> {};
 
@@ -184,17 +186,17 @@ TEST_P(MroutineProfilerAttributionTest, TwoMroutineCyclesSumToCoreStats) {
       bnez t0, loop
       halt a0
   )"));
-  MroutineProfiler profiler;
+  SpanSink profiler;
   system.SetTraceSink(&profiler);
   MustHalt(system, 6);
   system.SetTraceSink(nullptr);
   profiler.Finalize(system.core().cycle());
 
   const CoreStats& stats = system.core().stats();
-  EXPECT_EQ(profiler.total_metal_cycles(), stats.metal_cycles);
-  EXPECT_EQ(profiler.total_metal_instret(), stats.metal_instret);
+  EXPECT_EQ(profiler.total().cycles, stats.metal_cycles);
+  EXPECT_EQ(profiler.total().instret, stats.metal_instret);
   EXPECT_EQ(profiler.normal_instret(), stats.instret - stats.metal_instret);
-  EXPECT_EQ(profiler.unattributed_cycles(), 0u);
+  EXPECT_EQ(profiler.other().cycles, 0u);
 
   const auto& entries = profiler.entries();
   EXPECT_EQ(entries[1].enters, 6u);
@@ -238,7 +240,7 @@ TEST(MroutineProfilerTest, TrapDeliveryCountedAsTrapEnter) {
       ebreak
       halt a0
   )"));
-  MroutineProfiler profiler;
+  SpanSink profiler;
   system.SetTraceSink(&profiler);
   MustHalt(system, 2);
   system.SetTraceSink(nullptr);
@@ -247,12 +249,49 @@ TEST(MroutineProfilerTest, TrapDeliveryCountedAsTrapEnter) {
   const auto& entries = profiler.entries();
   EXPECT_EQ(entries[4].trap_enters, 2u);
   EXPECT_EQ(entries[4].enters, 0u);
-  EXPECT_EQ(profiler.total_metal_cycles(), system.core().stats().metal_cycles);
-  EXPECT_EQ(profiler.total_metal_instret(), system.core().stats().metal_instret);
+  EXPECT_EQ(profiler.total().cycles, system.core().stats().metal_cycles);
+  EXPECT_EQ(profiler.total().instret, system.core().stats().metal_instret);
+}
+
+std::string ReadTestData(const std::string& name) {
+  std::ifstream in(std::string(MSIM_TEST_DATA_DIR) + "/" + name);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// A parity machine check in the middle of an mroutine, recovered by scrub and
+// retry: the aborted call, the recovery and the retried call must together
+// account for every Metal cycle and retire. The recovery and the retry carry
+// no entry and land in (other).
+TEST(MroutineProfilerTest, ScrubAndRetryRunSumsToCoreStats) {
+  MetalSystem system;
+  system.AddMcode(ReadTestData("campaign_mcode.s"));
+  system.DelegateException(ExcCause::kMachineCheck, 2);
+  ASSERT_OK(system.LoadProgramSource(ReadTestData("campaign_guest.s")));
+  FaultEngine engine(/*seed=*/0);
+  ASSERT_OK(engine.AddSpec("mram-code@30:at=8,bit=14"));
+  system.core().SetFaultEngine(&engine);
+  SpanSink profiler;
+  system.SetTraceSink(&profiler);
+  MustHalt(system, 60);
+  system.SetTraceSink(nullptr);
+  profiler.Finalize(system.core().cycle());
+
+  const CoreStats& stats = system.core().stats();
+  ASSERT_EQ(stats.machine_checks, 1u);
+  EXPECT_EQ(stats.metal_cycles, 71u);
+  EXPECT_EQ(profiler.total().cycles, stats.metal_cycles);
+  EXPECT_EQ(profiler.total().instret, stats.metal_instret);
+  EXPECT_EQ(profiler.normal_instret(), stats.instret - stats.metal_instret);
+  // Recovery [48,56] plus retry [56,61].
+  EXPECT_EQ(profiler.other().cycles, 13u);
+  EXPECT_EQ(profiler.entries()[1].enters, 12u);
+  EXPECT_EQ(profiler.entries()[2].total_enters(), 0u);
 }
 
 TEST(MroutineProfilerTest, JsonAndTextReports) {
-  MroutineProfiler profiler;
+  SpanSink profiler;
   profiler.OnEvent(MakeEvent(TraceEventKind::kMenter, 10, 0x1000, 3, 0xffff0000));
   profiler.OnEvent(MakeEvent(TraceEventKind::kRetire, 11, 0xffff0000, 0x13, 0, true));
   profiler.OnEvent(MakeEvent(TraceEventKind::kMexit, 15, 0xffff0004, 0x1004, 0, true));
@@ -264,13 +303,13 @@ TEST(MroutineProfilerTest, JsonAndTextReports) {
   std::ostringstream json_out;
   JsonWriter json(json_out);
   json.BeginObject();
-  profiler.AppendJson(json, 20);
+  profiler.AppendProfileJson(json, 20);
   json.EndObject();
   EXPECT_TRUE(JsonLooksValid(json_out.str())) << json_out.str();
   EXPECT_NE(json_out.str().find("\"entry\":3"), std::string::npos);
 
   std::ostringstream text;
-  profiler.WriteText(text, 20);
+  profiler.WriteProfileText(text, 20);
   EXPECT_NE(text.str().find("3"), std::string::npos);
   EXPECT_NE(text.str().find("%cycles"), std::string::npos);
 }

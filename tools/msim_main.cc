@@ -90,7 +90,6 @@
 #include "synth/designs.h"
 #include "trace/json.h"
 #include "trace/metrics.h"
-#include "trace/profiler.h"
 #include "trace/sampler.h"
 #include "trace/span.h"
 #include "trace/trace.h"
@@ -239,7 +238,7 @@ class RetirePrinter : public TraceSink {
 };
 
 bool WriteStatsJson(MetalSystem& system, const RunResult& result, const char* reason_name,
-                    const std::string& program_path, const MroutineProfiler* profiler,
+                    const std::string& program_path, const SpanSink* profile,
                     const std::string& path) {
   std::ofstream out(path);
   if (!out) {
@@ -266,9 +265,9 @@ bool WriteStatsJson(MetalSystem& system, const RunResult& result, const char* re
   json.BeginObject("histograms");
   system.metrics().AppendHistogramsJson(json);
   json.EndObject();
-  if (profiler != nullptr) {
+  if (profile != nullptr) {
     json.BeginObject("mroutine_profile");
-    profiler->AppendJson(json, system.core().stats().cycles);
+    profile->AppendProfileJson(json, system.core().stats().cycles);
     json.EndObject();
   }
   json.EndObject();
@@ -440,12 +439,15 @@ int CmdRun(const std::vector<std::string>& args) {
 
   // Structured-event sinks. The ring buffer feeds the Chrome-trace export and
   // the crash dump's last-N event window; the flight recorder keeps the
-  // architectural events for the crash dump; the profiler and span sink
-  // aggregate in place; --trace prints retires. When several consumers are
-  // requested they share one stream through a tee.
-  RingBufferSink ring;
-  MroutineProfiler profiler;
-  SpanSink spans;
+  // architectural events for the crash dump; the span sink aggregates spans,
+  // latencies and the per-mroutine profile in place; --trace prints retires.
+  // When several consumers are requested they share one stream through a
+  // tee. Without --trace-json nothing exports the whole ring or the retained
+  // spans, so both keep (and checkpoint) only what the other reports need.
+  const bool export_trace = !trace_json_path.empty();
+  RingBufferSink ring = export_trace ? RingBufferSink()
+                                     : RingBufferSink(CrashDumpOptions{}.max_trace_events);
+  SpanSink spans = export_trace ? SpanSink() : SpanSink(/*retain=*/1);
   RingBufferSink flight(static_cast<size_t>(flight_events), kFlightKinds);
   RetirePrinter retire_printer(trace_limit);
   TeeSink tee;
@@ -459,10 +461,7 @@ int CmdRun(const std::vector<std::string>& args) {
   if (want_ring) {
     sinks.push_back(&ring);
   }
-  if (want_profile) {
-    sinks.push_back(&profiler);
-  }
-  if (want_spans) {
+  if (want_profile || want_spans) {
     sinks.push_back(&spans);
   }
   if (want_flight) {
@@ -515,7 +514,7 @@ int CmdRun(const std::vector<std::string>& args) {
         }
       } else if (section.name == "profiler") {
         SnapReader reader(section.payload);
-        if (Status status = profiler.RestoreState(reader); !status.ok()) {
+        if (Status status = spans.RestoreProfileState(reader); !status.ok()) {
           std::fprintf(stderr, "%s\n", status.ToString().c_str());
           return 1;
         }
@@ -583,7 +582,7 @@ int CmdRun(const std::vector<std::string>& args) {
     }
     if (want_profile) {
       SnapWriter writer;
-      profiler.SaveState(writer);
+      spans.SaveProfileState(writer);
       extras.push_back({"profiler", writer.TakeBytes()});
     }
     if (want_spans) {
@@ -698,7 +697,6 @@ int CmdRun(const std::vector<std::string>& args) {
     }
   }
   if (sink != nullptr) {
-    profiler.Finalize(system.core().cycle());
     spans.Finalize(system.core().cycle());
   }
   if (trace_stats) {
@@ -706,7 +704,7 @@ int CmdRun(const std::vector<std::string>& args) {
   }
   if (profile_mroutines) {
     std::ostringstream text;
-    profiler.WriteText(text, system.core().stats().cycles);
+    spans.WriteProfileText(text, system.core().stats().cycles);
     std::fputs(text.str().c_str(), stderr);
   }
   bool io_ok = true;
@@ -716,7 +714,7 @@ int CmdRun(const std::vector<std::string>& args) {
   }
   if (!stats_json_path.empty()) {
     io_ok &= WriteStatsJson(system, result, reason_name, program_path,
-                            want_profile ? &profiler : nullptr, stats_json_path);
+                            want_profile ? &spans : nullptr, stats_json_path);
   }
   if (!trace_json_path.empty()) {
     io_ok &= WriteTraceJson(ring, spans, trace_json_path);
