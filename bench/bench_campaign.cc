@@ -17,6 +17,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "bench/campaign_machine.h"
 #include "campaign/campaign.h"
 #include "metal/system.h"
 #include "support/strings.h"
@@ -25,70 +26,11 @@ using namespace msim;
 
 namespace {
 
-// The counter accelerator + transparent scrub-and-retry recovery mroutine
-// (same machine as tests/data/campaign_mcode.s; see the comments there).
-constexpr const char* kMcode = R"(
-    .equ D_COUNT, 0
-    .equ CR_MEPC, 1
-    .equ CR_MRAM_SCRUB, 52
-
-    .mentry 1, count_add
-    .mentry 2, mcheck_recover
-
-  count_add:
-    mld t0, D_COUNT(zero)
-    add t0, t0, a0
-    mst t0, D_COUNT(zero)
-    mv a0, t0
-    mexit
-
-  mcheck_recover:
-    wcr CR_MRAM_SCRUB, zero
-    wmr m30, t0
-    rcr t0, CR_MEPC
-    wmr m31, t0
-    rmr t0, m30
-    mexit
-)";
-
-// Twelve accelerator calls, one console byte per iteration, data-dependent
-// halt code — corruption of the counter is architecturally visible.
-constexpr const char* kGuest = R"(
-  _start:
-    li s0, 12
-    li s1, 0
-    li s2, 0xF0003000
-  loop:
-    li a0, 5
-    menter 1
-    mv s1, a0
-    andi t0, s1, 63
-    addi t0, t0, 32
-    sw t0, 0(s2)
-    addi s0, s0, -1
-    bnez s0, loop
-    halt s1
-)";
-
 CampaignReport RunOne(bool parity) {
   CoreConfig config;
   config.mram_parity = parity;
 
-  CampaignOptions options;
-  options.targets = {FaultTarget::kMramData, FaultTarget::kMramCode};
-  options.trials = 600;
-  options.seed = 1;
-  // Focus the location universe on live state: D_COUNT is MRAM data word 0
-  // and the mcode body is the first handful of code words. Uniform sampling
-  // over the full 2048-word segments would mostly measure dead space.
-  options.max_location = 8;
-
-  CampaignEngine::SystemSetup setup = [](MetalSystem& system) -> Status {
-    system.AddMcode(kMcode);
-    system.DelegateException(ExcCause::kMachineCheck, 2);
-    return system.LoadProgramSource(kGuest);
-  };
-  CampaignEngine engine(config, std::move(setup), std::move(options));
+  CampaignEngine engine(config, SetUpCampaignMachine, CampaignMachineOptions(600, 1));
   return UnwrapOrDie(RunCampaign(engine), parity ? "protected campaign"
                                                  : "unprotected campaign");
 }

@@ -13,6 +13,14 @@
 // stepping modes (CoreConfig::fast_step on and off); CI computes the speedup
 // ratio from the JSON output and gates regressions against
 // bench/baseline_simspeed.json.
+//
+// Two host-cost rows sit next to the instruction-throughput rows:
+// BM_CampaignTrial (CampaignEngine::RunTrial over the bench_campaign machine,
+// trials forked from golden snapshots, in trials per second) and
+// BM_DramDigest (Core::StateDigest with DRAM over a machine with 256 KiB of
+// live DRAM spread across the whole array, in digests per second and ns per
+// KiB of live DRAM). Both track PhysicalMemory's dirty-page bookkeeping:
+// with it, a digest costs O(written pages), not O(DRAM size).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -21,6 +29,8 @@
 
 #include "asm/assembler.h"
 #include "bench/bench_util.h"
+#include "bench/campaign_machine.h"
+#include "campaign/campaign.h"
 #include "cpu/core.h"
 #include "metal/system.h"
 
@@ -178,6 +188,64 @@ void BM_MetalTransitionLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_MetalTransitionLoop)->Unit(benchmark::kMillisecond);
 
+// A prepared parity-protected campaign over the bench_campaign machine and
+// its planned trials.
+struct CampaignTrials {
+  CampaignTrials() : engine(ParityConfig(), SetUpCampaignMachine, CampaignMachineOptions(100, 1)) {
+    DieIfError(engine.Prepare(), "campaign prepare");
+    plans = engine.PlanTrials();
+  }
+  static CoreConfig ParityConfig() {
+    CoreConfig config;
+    config.mram_parity = true;
+    return config;
+  }
+  void Run(const TrialPlan& plan) {
+    const auto record = engine.RunTrial(plan, /*allow_fork=*/true);
+    DieIfError(record.status(), "campaign trial");
+    benchmark::DoNotOptimize(record->result.state_digest);
+  }
+  CampaignEngine engine;
+  std::vector<TrialPlan> plans;
+};
+
+// A machine whose DRAM holds kLiveDramPages pages of non-zero words, one page
+// every DRAM-size / kLiveDramPages bytes so the live set spans the array.
+constexpr uint32_t kLiveDramPages = 64;
+constexpr double kLiveDramKib = kLiveDramPages * PhysicalMemory::kPageSize / 1024.0;
+
+void FillLiveDram(Core& core) {
+  PhysicalMemory& dram = core.bus().dram();
+  const uint32_t stride = dram.size() / kLiveDramPages;
+  for (uint32_t page = 0; page < kLiveDramPages; ++page) {
+    for (uint32_t offset = 0; offset < PhysicalMemory::kPageSize; offset += 4) {
+      (void)dram.Write32(page * stride + offset, 0x9E3779B9u * (page + offset + 1));
+    }
+  }
+}
+
+void BM_CampaignTrial(benchmark::State& state) {
+  CampaignTrials trials;
+  size_t next = 0;
+  for (auto _ : state) {
+    trials.Run(trials.plans[next]);
+    next = (next + 1) % trials.plans.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CampaignTrial)->Unit(benchmark::kMicrosecond);
+
+void BM_DramDigest(benchmark::State& state) {
+  Core core{CoreConfig{}};
+  FillLiveDram(core);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core.StateDigest(/*include_dram=*/true));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["live_kib"] = kLiveDramKib;
+}
+BENCHMARK(BM_DramDigest)->Unit(benchmark::kMicrosecond);
+
 void BM_Assembler(benchmark::State& state) {
   std::string source = "_start:\n";
   for (int i = 0; i < 1000; ++i) {
@@ -228,6 +296,25 @@ double MeasureInstrPerSec(const char* source, const CoreConfig& config, int reps
   return best;
 }
 
+// Best-of-N rate of `body` (called `batch` times per rep), in calls per
+// second.
+template <typename Body>
+double MeasureCallsPerSec(int reps, int batch, Body&& body) {
+  double best = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < batch; ++i) {
+      body(i);
+    }
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    if (seconds > 0.0 && batch / seconds > best) {
+      best = batch / seconds;
+    }
+  }
+  return best;
+}
+
 // CI entry point: `bench_simspeed --json FILE` writes a BenchReport with the
 // measured throughput of both stepping modes and their speedup ratio; the
 // perf job gates it against bench/baseline_simspeed.json (>20% regression on
@@ -247,6 +334,16 @@ int RunBenchReport(int argc, char** argv) {
   const double memcopy_slow = MeasureInstrPerSec(kMemCopyLoop, slow_config, kReps);
   const double strided = MeasureInstrPerSec(kStridedStoreLoop, fast_config, kReps);
   const double mixed = MeasureInstrPerSec(kMixedAluMemLoop, fast_config, kReps);
+  CampaignTrials campaign;
+  const double trials_per_s =
+      MeasureCallsPerSec(5, static_cast<int>(campaign.plans.size()),
+                         [&](int i) { campaign.Run(campaign.plans[i]); });
+  Core digest_core{CoreConfig{}};
+  FillLiveDram(digest_core);
+  const double digests_per_s = MeasureCallsPerSec(5, 200, [&](int) {
+    benchmark::DoNotOptimize(digest_core.StateDigest(/*include_dram=*/true));
+  });
+  const double digest_ns_per_kib = digests_per_s > 0.0 ? 1e9 / digests_per_s / kLiveDramKib : 0.0;
   std::printf("BM_AluLoop                %12.0f sim-instr/s (fast_step on)\n", fast);
   std::printf("BM_AluLoopStepCycle       %12.0f sim-instr/s (fast_step off)\n", slow);
   std::printf("BM_AluLoopObserved        %12.0f sim-instr/s (fast_step on + span sink)\n",
@@ -259,6 +356,10 @@ int RunBenchReport(int argc, char** argv) {
               strided);
   std::printf("BM_MixedAluMemLoop        %12.0f sim-instr/s (interleaved ALU + mem)\n",
               mixed);
+  std::printf("BM_CampaignTrial          %12.0f trials/s (forked RunTrial, parity on)\n",
+              trials_per_s);
+  std::printf("BM_DramDigest             %12.0f digests/s (%.0f ns per KiB of %.0f KiB live)\n",
+              digests_per_s, digest_ns_per_kib, kLiveDramKib);
   std::printf("speedup (fast/stepcycle)  %12.2fx\n", slow > 0.0 ? fast / slow : 0.0);
   std::printf("speedup (memloop)         %12.2fx\n",
               memcopy_slow > 0.0 ? memcopy / memcopy_slow : 0.0);
@@ -269,6 +370,12 @@ int RunBenchReport(int argc, char** argv) {
   report.AddRow("BM_MemCopyLoopStepCycle").Field("sim_instr_per_sec", memcopy_slow);
   report.AddRow("BM_StridedStoreLoop").Field("sim_instr_per_sec", strided);
   report.AddRow("BM_MixedAluMemLoop").Field("sim_instr_per_sec", mixed);
+  report.AddRow("BM_CampaignTrial").Field("trials_per_s", trials_per_s);
+  // Only digests_per_s is gated: the CI check treats every field as a floor.
+  report.AddRow("BM_DramDigest")
+      .Field("digests_per_s", digests_per_s)
+      .Field("ns_per_live_kib", digest_ns_per_kib)
+      .Field("live_kib", kLiveDramKib);
   report.AddRow("speedup").Field("fast_over_stepcycle", slow > 0.0 ? fast / slow : 0.0);
   report.AddRow("memloop_speedup")
       .Field("fast_over_stepcycle", memcopy_slow > 0.0 ? memcopy / memcopy_slow : 0.0);

@@ -273,20 +273,10 @@ TEST(MsimCliTest, TraceFlagPrintsFirstRetiresToStderr) {
             "[halted] exit=0 cycles=61 instret=22\n");
 }
 
-// A fresh directory under the test temp dir, removed when the test ends.
-struct ScratchDir {
-  explicit ScratchDir(const std::string& name)
-      : path(testing::TempDir() + "/msim-cli-" + name + "-" + std::to_string(::getpid())) {
-    std::system(("rm -rf '" + path + "' && mkdir -p '" + path + "'").c_str());
-  }
-  ~ScratchDir() { std::system(("rm -rf '" + path + "'").c_str()); }
-  std::string path;
-};
-
 TEST(MsimCliTest, RestoredTraceJsonMatchesStraightRun) {
   // The checkpoint carries the span slices completed before it, so the
   // restored run's Chrome trace is the straight run's, byte for byte.
-  const ScratchDir scratch("restored-trace");
+  const ScratchDir scratch("cli-restored-trace");
   const std::string& dir = scratch.path;
   const std::string program = MSIM_TEST_DATA_DIR "/campaign_guest.s --mcode " MSIM_TEST_DATA_DIR
                                                  "/campaign_mcode.s";
@@ -306,7 +296,7 @@ TEST(MsimCliTest, RestoredTraceJsonMatchesStraightRun) {
 TEST(MsimCliTest, CrashDumpOnlyCheckpointKeepsOnlyTheDumpWindow) {
   // Without --trace-json the trace ring feeds only the crash dump's last
   // CrashDumpOptions::max_trace_events events, and is sized to match.
-  const ScratchDir scratch("dump-ring");
+  const ScratchDir scratch("cli-dump-ring");
   const std::string& dir = scratch.path;
   ASSERT_EQ(RunMsim("run " MSIM_TEST_DATA_DIR "/memloop.s --crash-dump " + dir + "/dump.json" +
                     " --checkpoint-every 20000 --checkpoint-dir " + dir + "/ckpts >/dev/null"),

@@ -17,16 +17,10 @@
 #include "fleet/worker.h"
 #include "snap/snapshot.h"
 #include "support/exit_codes.h"
+#include "tests/sim_test_util.h"
 
 namespace msim {
 namespace {
-
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/fleet_test_XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
 
 void WriteText(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::trunc);
@@ -177,7 +171,8 @@ TEST(ChaosTest, ParsesSpecs) {
 }
 
 TEST(SnapshotDiscoveryTest, SkipsCorruptAndOrdersByCycle) {
-  const std::string dir = MakeTempDir();
+  const ScratchDir scratch("SnapshotDiscoveryTest-SkipsCorruptAndOrdersByCycle");
+  const std::string& dir = scratch.path;
   WriteText(dir + "/checkpoint-200.msnap", "not a snapshot");
   WriteText(dir + "/checkpoint-100.msnap", "also garbage");
   WriteText(dir + "/unrelated.txt", "ignored");
@@ -191,7 +186,8 @@ TEST(SnapshotDiscoveryTest, SkipsCorruptAndOrdersByCycle) {
 }
 
 TEST(FleetTest, RetriesCrashesUntilSuccess) {
-  const std::string dir = MakeTempDir();
+  const ScratchDir scratch("FleetTest-RetriesCrashesUntilSuccess");
+  const std::string& dir = scratch.path;
   std::vector<JobSpec> jobs = {FakeJob(dir, "flaky", "crash-until 2")};
   FleetSupervisor fleet(std::move(jobs), FakeWorkerOptions(dir + "/out"));
   ASSERT_TRUE(fleet.Run().ok());
@@ -205,7 +201,8 @@ TEST(FleetTest, RetriesCrashesUntilSuccess) {
 }
 
 TEST(FleetTest, ExhaustsRetryBudgetAndHarvestsRepro) {
-  const std::string dir = MakeTempDir();
+  const ScratchDir scratch("FleetTest-ExhaustsRetryBudgetAndHarvestsRepro");
+  const std::string& dir = scratch.path;
   std::vector<JobSpec> jobs = {FakeJob(dir, "doomed", "crash-until 99")};
   jobs[0].retries = 1;
   FleetSupervisor fleet(std::move(jobs), FakeWorkerOptions(dir + "/out"));
@@ -224,7 +221,8 @@ TEST(FleetTest, ExhaustsRetryBudgetAndHarvestsRepro) {
 }
 
 TEST(FleetTest, HarvestsCrashDump) {
-  const std::string dir = MakeTempDir();
+  const ScratchDir scratch("FleetTest-HarvestsCrashDump");
+  const std::string& dir = scratch.path;
   std::vector<JobSpec> jobs = {FakeJob(dir, "faulty", "dump")};
   jobs[0].retries = 0;
   FleetSupervisor fleet(std::move(jobs), FakeWorkerOptions(dir + "/out"));
@@ -236,7 +234,8 @@ TEST(FleetTest, HarvestsCrashDump) {
 }
 
 TEST(FleetTest, GuestTimeoutIsTerminalWithoutRetry) {
-  const std::string dir = MakeTempDir();
+  const ScratchDir scratch("FleetTest-GuestTimeoutIsTerminalWithoutRetry");
+  const std::string& dir = scratch.path;
   std::vector<JobSpec> jobs = {FakeJob(dir, "slow", "exit 12")};
   FleetSupervisor fleet(std::move(jobs), FakeWorkerOptions(dir + "/out"));
   ASSERT_TRUE(fleet.Run().ok());
@@ -245,7 +244,8 @@ TEST(FleetTest, GuestTimeoutIsTerminalWithoutRetry) {
 }
 
 TEST(FleetTest, UsageErrorIsTerminalWithoutRetry) {
-  const std::string dir = MakeTempDir();
+  const ScratchDir scratch("FleetTest-UsageErrorIsTerminalWithoutRetry");
+  const std::string& dir = scratch.path;
   std::vector<JobSpec> jobs = {FakeJob(dir, "broken", "exit 2")};
   FleetSupervisor fleet(std::move(jobs), FakeWorkerOptions(dir + "/out"));
   ASSERT_TRUE(fleet.Run().ok());
@@ -254,7 +254,8 @@ TEST(FleetTest, UsageErrorIsTerminalWithoutRetry) {
 }
 
 TEST(FleetTest, DeadlineKillsHungWorker) {
-  const std::string dir = MakeTempDir();
+  const ScratchDir scratch("FleetTest-DeadlineKillsHungWorker");
+  const std::string& dir = scratch.path;
   std::vector<JobSpec> jobs = {FakeJob(dir, "wedged", "hang-until 99")};
   jobs[0].retries = 0;
   FleetOptions options = FakeWorkerOptions(dir + "/out");
@@ -266,7 +267,8 @@ TEST(FleetTest, DeadlineKillsHungWorker) {
 }
 
 TEST(FleetTest, HangDetectorRecoversViaRetry) {
-  const std::string dir = MakeTempDir();
+  const ScratchDir scratch("FleetTest-HangDetectorRecoversViaRetry");
+  const std::string& dir = scratch.path;
   // First attempt wedges with no heartbeat progress; the retry succeeds.
   std::vector<JobSpec> jobs = {FakeJob(dir, "stuck", "hang-until 1")};
   FleetOptions options = FakeWorkerOptions(dir + "/out");
@@ -281,7 +283,8 @@ TEST(FleetTest, HangDetectorRecoversViaRetry) {
 
 TEST(FleetTest, FleetJsonIsDeterministicAcrossWorkerCounts) {
   const auto run = [](uint64_t workers) {
-    const std::string dir = MakeTempDir();
+    const ScratchDir scratch("FleetTest-FleetJson-" + std::to_string(workers));
+    const std::string& dir = scratch.path;
     std::vector<JobSpec> jobs;
     for (int i = 0; i < 5; ++i) {
       jobs.push_back(FakeJob(dir, "job" + std::to_string(i), "ok " + std::to_string(100 + i)));
@@ -305,7 +308,8 @@ TEST(FleetTest, FleetJsonIsDeterministicAcrossWorkerCounts) {
 }
 
 TEST(FleetTest, MemoryPressureEvictsAndResumes) {
-  const std::string dir = MakeTempDir();
+  const ScratchDir scratch("FleetTest-MemoryPressureEvictsAndResumes");
+  const std::string& dir = scratch.path;
   std::vector<JobSpec> jobs = {FakeJob(dir, "big0", "evict-wait"),
                                FakeJob(dir, "big1", "evict-wait")};
   FleetOptions options = FakeWorkerOptions(dir + "/out");
@@ -325,7 +329,8 @@ TEST(FleetTest, MemoryPressureEvictsAndResumes) {
 // the latest checkpoint, and a stats.json byte-identical to an uninterrupted
 // run — the core promise of checkpoint-restart retries.
 TEST(FleetRealMsimTest, CrashResumeStatsAreByteIdentical) {
-  const std::string dir = MakeTempDir();
+  const ScratchDir scratch("FleetRealMsimTest-CrashResumeStatsAreByteIdentical");
+  const std::string& dir = scratch.path;
   const std::string program = dir + "/loop.s";
   WriteText(program,
             "_start:\n"
@@ -374,7 +379,8 @@ TEST(FleetRealMsimTest, CrashResumeStatsAreByteIdentical) {
 }
 
 TEST(FleetRealMsimTest, GracefulEvictionWritesFinalCheckpoint) {
-  const std::string dir = MakeTempDir();
+  const ScratchDir scratch("FleetRealMsimTest-GracefulEvictionWritesFinalCheckpoint");
+  const std::string& dir = scratch.path;
   const std::string program = dir + "/loop.s";
   WriteText(program,
             "_start:\n"
@@ -419,7 +425,8 @@ int RunShell(const std::string& command) {
 }
 
 TEST(MsimdCliTest, RejectsMalformedNumericFlags) {
-  const std::string dir = MakeTempDir();
+  const ScratchDir scratch("MsimdCliTest-RejectsMalformedNumericFlags");
+  const std::string& dir = scratch.path;
   const std::string manifest = dir + "/fleet.ini";
   WriteText(manifest, "[job noop]\nprogram = " + dir + "/noop.s\n");
   WriteText(dir + "/noop.s", "_start:\n  halt zero\n");

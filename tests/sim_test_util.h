@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -126,6 +127,25 @@ inline int RunCapturingStderr(const std::string& command, std::string* err) {
   std::remove(path.c_str());
   return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
 }
+
+// A fresh directory under the test temp dir, removed with everything in it
+// when the object goes out of scope. The pid keeps concurrent test processes
+// apart; `name` keeps the tests of one process apart.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& name)
+      : path(testing::TempDir() + "/msim-" + name + "-" + std::to_string(::getpid())) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  std::string path;
+};
 
 }  // namespace msim
 

@@ -275,6 +275,85 @@ TEST(SnapshotRoundTripTest, SparseDramPagesSurvive) {
   EXPECT_EQ(restored.core().StateDigest(true), system.core().StateDigest(true));
 }
 
+TEST(SnapshotRoundTripTest, RestoreIntoDirtiedMachineMatchesFreshRestore) {
+  // DRAM restore zeroes only the pages the machine wrote before (its dirty
+  // bitmap), so a machine that dirtied other pages must end up exactly where
+  // a fresh one does.
+  MetalSystem reference;
+  reference.AddMcode(kMcode);
+  ASSERT_OK(reference.LoadProgramSource(kProgram));
+  ASSERT_OK(reference.Boot());
+  reference.core().Run(60);
+  const std::vector<uint8_t> image = SaveSnapshot(reference.core());
+
+  MetalSystem fresh;
+  ASSERT_OK(fresh.LoadProgramSource("_start:\n  halt zero\n"));
+  ASSERT_OK(fresh.Boot());
+  ASSERT_OK(RestoreSnapshot(fresh.core(), image));
+
+  MetalSystem dirtied;
+  ASSERT_OK(dirtied.LoadProgramSource(R"(
+    _start:
+      li t1, 0x5AFE5AFE
+      li t0, 0x00300000
+      sw t1, 0(t0)
+      li t0, 0x00A00FFE
+      sh t1, 0(t0)
+      li t0, 0x00000200
+      sw t1, 0(t0)
+      halt zero
+  )"));
+  MustHalt(dirtied, 0);
+  ASSERT_TRUE(dirtied.core().bus().dram().Write32(0x00FFF000, 7));
+  ASSERT_OK(RestoreSnapshot(dirtied.core(), image));
+
+  EXPECT_EQ(dirtied.core().StateDigest(true), fresh.core().StateDigest(true));
+  EXPECT_EQ(dirtied.core().StateDigest(true), reference.core().StateDigest(true));
+  EXPECT_EQ(SaveSnapshot(dirtied.core()), SaveSnapshot(fresh.core()));
+  EXPECT_EQ(SaveSnapshot(dirtied.core()), image);
+  const PhysicalMemory& dram = dirtied.core().bus().dram();
+  EXPECT_EQ(dram.Read32(0x00300000), 0u);
+  EXPECT_EQ(dram.Read32(0x00A00FFC), 0u);
+  EXPECT_EQ(dram.Read32(0x00A01000), 0u);
+  EXPECT_EQ(dram.Read32(0x00FFF000), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot compatibility corpus: checkpoints written by an earlier build
+// (`msim run ... --checkpoint-every N`, tests/data/snapcorpus/README.md). Each
+// must restore to the pinned digest, re-save to the same bytes and finish the
+// run as the straight run does, so a change to the save path that alters the
+// format fails here.
+
+struct CorpusCheckpoint {
+  const char* file;
+  uint64_t state_digest;  // Core::StateDigest(true) right after restore
+  uint32_t exit_code;
+  uint64_t final_cycle;
+};
+
+TEST(SnapshotCorpusTest, EarlierBuildCheckpointsRestoreUnchanged) {
+  const CorpusCheckpoint corpus[] = {
+      {"memloop-20000.msnap", 0xf572b47570c0e3afull, 0, 52047},
+      {"campaign-100.msnap", 0x07997549a23fe7a6ull, 60, 240},
+  };
+  for (const CorpusCheckpoint& entry : corpus) {
+    SCOPED_TRACE(entry.file);
+    const auto image =
+        ReadFileBytes(std::string(MSIM_TEST_DATA_DIR "/snapcorpus/") + entry.file);
+    ASSERT_OK(image.status());
+    Core core{CoreConfig{}};
+    std::vector<SnapshotSection> extras;
+    ASSERT_OK(RestoreSnapshot(core, *image, &extras));
+    EXPECT_EQ(core.StateDigest(true), entry.state_digest);
+    EXPECT_EQ(SaveSnapshot(core, extras), *image);
+    const RunResult result = core.Run(1'000'000);
+    EXPECT_EQ(result.reason, RunResult::Reason::kHalted) << result.fatal_message;
+    EXPECT_EQ(result.exit_code, entry.exit_code);
+    EXPECT_EQ(core.cycle(), entry.final_cycle);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Replay log.
 
