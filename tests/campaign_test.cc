@@ -1,8 +1,9 @@
 // Tests for the differential fault-injection campaign engine (src/campaign):
 // the outcome classifier (one test per taxonomy class), snapshot-fork vs.
-// cold-start byte identity, campaign.json two-run determinism, the
-// parity-on/off headline behavior (detection converts every would-be SDC
-// into detected_recovered), SDC repro harvesting, and the mcamp CLI.
+// cold-start byte identity of trials and of SDC pinpoints, campaign.json
+// two-run determinism, the parity-on/off headline behavior (detection
+// converts every would-be SDC into detected_recovered), SDC repro
+// harvesting, and the mcamp CLI.
 #include <sys/wait.h>
 
 #include <gtest/gtest.h>
@@ -15,8 +16,11 @@
 
 #include "campaign/campaign.h"
 #include "cpu/trap.h"
+#include "fault/fault.h"
 #include "metal/system.h"
+#include "snap/diverge.h"
 #include "support/exit_codes.h"
+#include "support/strings.h"
 #include "tests/sim_test_util.h"
 #include "trace/json.h"
 
@@ -200,11 +204,15 @@ TEST(CampaignEngineTest, PlanIsDeterministicStratifiedAndInRange) {
 
 TEST(CampaignEngineTest, ForkedTrialIsByteIdenticalToColdStart) {
   CampaignEngine engine(CoreConfig{}, MakeSetup(), FocusedOptions(12));
+  CampaignOptions cold_options = FocusedOptions(12);
+  cold_options.snapshots = 0;  // every trial cold-starts
+  CampaignEngine cold_engine(CoreConfig{}, MakeSetup(), cold_options);
   ASSERT_OK(engine.Prepare());
+  ASSERT_OK(cold_engine.Prepare());
   bool any_forked = false;
   for (const TrialPlan& plan : engine.PlanTrials()) {
-    auto forked = engine.RunTrial(plan, /*allow_fork=*/true);
-    auto cold = engine.RunTrial(plan, /*allow_fork=*/false);
+    auto forked = engine.RunTrial(plan);
+    auto cold = cold_engine.RunTrial(plan);
     ASSERT_OK(forked.status());
     ASSERT_OK(cold.status());
     EXPECT_FALSE(cold->forked);
@@ -217,6 +225,87 @@ TEST(CampaignEngineTest, ForkedTrialIsByteIdenticalToColdStart) {
     EXPECT_EQ(forked->detect_cycle, cold->detect_cycle) << plan.spec.text;
   }
   EXPECT_TRUE(any_forked);  // late-cycle trials must actually use the forks
+}
+
+// The pinpoint reference: two fresh machines, the faulty one injected, in
+// cycle lockstep from cycle 0.
+Result<DivergenceReport> ColdPinpoint(const CoreConfig& config, const TrialPlan& plan,
+                                      uint64_t budget) {
+  MetalSystem clean(config);
+  MetalSystem faulty(config);
+  const CampaignEngine::SystemSetup setup = MakeSetup();
+  MSIM_RETURN_IF_ERROR(setup(clean));
+  MSIM_RETURN_IF_ERROR(setup(faulty));
+  FaultEngine engine(0);
+  engine.AddSpec(plan.spec);
+  faulty.core().SetFaultEngine(&engine);
+  LockstepOptions options;
+  options.granularity = CompareGranularity::kCycle;
+  options.max_cycles = budget;
+  return RunLockstep(clean, faulty, options);
+}
+
+std::string DivergenceJson(const DivergenceReport& report) {
+  std::ostringstream out;
+  WriteDivergenceJson(report, out);
+  return out.str();
+}
+
+// Pinpointing forks both machines from the golden snapshot strictly before
+// the injection cycle; the report must equal the cold lockstep's for every
+// target, with parity on and off. The plan adds one fault per target at a
+// fork mark: forking there (at, not before, the injection cycle) would fire
+// the fault a cycle late and move the reported divergence.
+TEST(CampaignEngineTest, PinpointFromForkEqualsColdLockstep) {
+  for (const bool parity : {true, false}) {
+    SCOPED_TRACE(parity ? "parity on" : "parity off");
+    CoreConfig config;
+    config.mram_parity = parity;
+    CampaignOptions options;  // all seven targets, one planned trial each
+    options.trials = 7;
+    options.max_location = 8;
+    options.snapshots = 4;
+    CampaignEngine engine(config, MakeSetup(), options);
+    ASSERT_OK(engine.Prepare());
+    ASSERT_EQ(engine.options().targets.size(), 7u);
+
+    std::vector<TrialPlan> plans = engine.PlanTrials();
+    for (size_t t = 0; t < engine.options().targets.size(); ++t) {
+      const FaultTarget target = engine.options().targets[t];
+      // Fork marks sit at golden_cycles * j / (snapshots + 1), j = 1..4.
+      const uint64_t mark = engine.golden().cycles * (1 + t % 4) / (options.snapshots + 1);
+      const std::string text =
+          target == FaultTarget::kBus
+              ? StrFormat("bus@%llu:bit=%zu", (unsigned long long)mark, t)
+              : StrFormat("%s@%llu:at=0,bit=%zu", FaultTargetName(target),
+                          (unsigned long long)mark, t);
+      auto spec = ParseFaultSpec(text);
+      ASSERT_OK(spec.status());
+      TrialPlan plan;
+      plan.index = plans.size();
+      plan.spec = *spec;
+      plans.push_back(plan);
+    }
+
+    size_t at_fork_mark = 0;
+    size_t diverged = 0;
+    for (const TrialPlan& plan : plans) {
+      SCOPED_TRACE(plan.spec.text);
+      auto trial = engine.RunTrial(plan);
+      ASSERT_OK(trial.status());
+      if (trial->forked && trial->fork_cycle == plan.spec.cycle) {
+        ++at_fork_mark;
+      }
+      auto forked = engine.PinpointDivergence(plan);
+      auto cold = ColdPinpoint(config, plan, engine.trial_budget());
+      ASSERT_OK(forked.status());
+      ASSERT_OK(cold.status());
+      diverged += cold->diverged ? 1 : 0;
+      EXPECT_EQ(DivergenceJson(*forked), DivergenceJson(*cold));
+    }
+    EXPECT_EQ(at_fork_mark, engine.options().targets.size());
+    EXPECT_GT(diverged, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -275,7 +364,8 @@ TEST(CampaignTest, CampaignJsonIsByteIdenticalAcrossRuns) {
 }
 
 TEST(CampaignTest, HarvestsSelfContainedSdcRepro) {
-  const std::string out_dir = testing::TempDir() + "campaign_sdc_repro";
+  const ScratchDir scratch("campaign-sdc-repro");
+  const std::string out_dir = scratch.path + "/repros";
   CoreConfig unprotected;
   unprotected.mram_parity = false;
   CampaignOptions options = FocusedOptions(8);
@@ -308,16 +398,17 @@ int RunCommand(const std::string& command) {
   return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
 }
 
-std::string WriteGuestFiles(const std::string& dir) {
-  std::ofstream guest(dir + "/guest.s");
+std::string WriteGuestFiles(const ScratchDir& scratch) {
+  std::ofstream guest(scratch.path + "/guest.s");
   guest << kGuest;
-  std::ofstream mcode(dir + "/mcode.s");
+  std::ofstream mcode(scratch.path + "/mcode.s");
   mcode << kMcode;
-  return dir;
+  return scratch.path;
 }
 
 TEST(McampCliTest, CleanCampaignExitsZeroAndSdcCampaignExits14) {
-  const std::string dir = WriteGuestFiles(testing::TempDir());
+  const ScratchDir scratch("mcamp-exit-codes");
+  const std::string dir = WriteGuestFiles(scratch);
   const std::string base = std::string(MCAMP_CLI_PATH) + " run " + dir + "/guest.s --mcode " +
                            dir + "/mcode.s --mcheck-entry 2 --target mram-data --locations 1 "
                            "--trials 10 --campaign-json " +
@@ -340,7 +431,8 @@ TEST(McampCliTest, CleanCampaignExitsZeroAndSdcCampaignExits14) {
 TEST(McampCliTest, RejectsUsageErrors) {
   EXPECT_EQ(RunCommand(std::string(MCAMP_CLI_PATH) + " 2>/dev/null"), kExitUsage);
   EXPECT_EQ(RunCommand(std::string(MCAMP_CLI_PATH) + " run 2>/dev/null"), kExitUsage);
-  const std::string dir = WriteGuestFiles(testing::TempDir());
+  const ScratchDir scratch("mcamp-usage");
+  const std::string dir = WriteGuestFiles(scratch);
   EXPECT_EQ(RunCommand(std::string(MCAMP_CLI_PATH) + " run " + dir +
                        "/guest.s --trials 0 2>/dev/null"),
             kExitUsage);
@@ -353,7 +445,8 @@ TEST(McampCliTest, RejectsUsageErrors) {
 // suffixes and overflow are usage errors (exit 2), never a silent 0 or a
 // saturated value, and documented range floors are enforced at the CLI.
 TEST(McampCliTest, RejectsMalformedNumericFlags) {
-  const std::string dir = WriteGuestFiles(testing::TempDir());
+  const ScratchDir scratch("mcamp-numeric-flags");
+  const std::string dir = WriteGuestFiles(scratch);
   const std::string base = std::string(MCAMP_CLI_PATH) + " run " + dir + "/guest.s ";
   EXPECT_EQ(RunCommand(base + "--trials -3 2>/dev/null"), kExitUsage);
   EXPECT_EQ(RunCommand(base + "--trials 10abc 2>/dev/null"), kExitUsage);

@@ -18,21 +18,23 @@
 //                canonicalization: every retire, cycle included, must match.
 //
 // A fourth oracle, `injection` (not part of `all` — it tests the machine's
-// fault detection, not the simulator's determinism), runs each generated
-// program clean to get a golden outcome, derives one deterministic pinned
-// fault from the case seed (MRAM code/data word or cache tag — the targets
-// the machine claims to detect or tolerate), reruns with the fault injected
-// and classifies the divergence with the campaign classifier
-// (src/campaign). A run whose final architectural state differs from golden
-// with no machine check raised is silent data corruption: mfuzz pinpoints
-// the first divergent cycle by lockstep, writes a repro directory and exits
-// 14. With MRAM parity on, a finding is a real detection hole; pass
-// --no-parity to watch the oracle light up on the unprotected machine.
+// fault detection, not the simulator's determinism), is a one-trial campaign
+// (src/campaign): the engine runs each generated program clean to get a
+// golden outcome, mfuzz derives one deterministic pinned fault from the case
+// seed (MRAM code/data word or cache tag — the targets the machine claims to
+// detect or tolerate), and the engine reruns with the fault injected and
+// classifies the outcome. A run whose final architectural state differs from
+// golden with no machine check raised is silent data corruption: the engine
+// pinpoints the first divergent cycle by lockstep and writes its repro
+// directory (--out/sdc-<seed>), and mfuzz exits 14. With MRAM parity on, a
+// finding is a real detection hole; pass --no-parity to watch the oracle
+// light up on the unprotected machine.
 //
-// On a failure mfuzz writes a self-contained repro directory (program.s,
-// mcode.s, divergence.json, repro.sh), shrinks same-config divergences by
-// checkpoint bisection (the latest snapshot from which the divergence still
-// reproduces bounds the window the bug lives in), and exits 10.
+// On a divergence the other oracles write a self-contained repro directory
+// (program.s, mcode.s, divergence.json, repro.sh), shrink same-config
+// divergences by checkpoint bisection (the latest snapshot from which the
+// divergence still reproduces bounds the window the bug lives in), and exit
+// 10.
 //
 // Usage:
 //   mfuzz [--seed N] [--runs N] [--time-budget-seconds N] [--max-cycles N]
@@ -451,102 +453,54 @@ FaultSpec DeriveInjectionSpec(uint64_t seed, const CoreConfig& config, uint64_t 
   return spec;
 }
 
-int WriteInjectionArtifacts(const std::string& out_dir, uint64_t seed, const GeneratedCase& c,
-                            const FaultSpec& spec, const DivergenceReport& report,
-                            uint64_t budget, const CoreConfig& config) {
-  if (::mkdir(out_dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    std::fprintf(stderr, "cannot create '%s': %s\n", out_dir.c_str(), std::strerror(errno));
-    return 1;
-  }
-  const std::string dir =
-      StrFormat("%s/case-%llu-injection", out_dir.c_str(), (unsigned long long)seed);
-  if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    std::fprintf(stderr, "cannot create '%s': %s\n", dir.c_str(), std::strerror(errno));
-    return 1;
-  }
-  bool ok = WriteTextFile(dir + "/program.s", c.program);
-  ok &= WriteTextFile(dir + "/mcode.s", c.mcode);
-  ok &= WriteTextFile(dir + "/spec.txt", spec.text + "\n");
-  {
-    std::ofstream out(dir + "/divergence.json");
-    WriteDivergenceJson(report, out);
-    out << "\n";
-    ok &= out.good();
-  }
-  std::string repro =
-      "#!/bin/sh\n# Replays the silent data corruption found by the mfuzz injection oracle:\n"
-      "# machine B runs with the fault injected, machine A clean, compared per cycle.\n"
-      "cd \"$(dirname \"$0\")\"\n";
-  repro += StrFormat(
-      "exec \"${MSIM:-msim}\" replay program.s --mcode mcode.s --until-divergence%s "
-      "--b-inject '%s' --max-cycles %llu\n",
-      config.mram_parity ? "" : " --no-parity", spec.text.c_str(), (unsigned long long)budget);
-  ok &= WriteTextFile(dir + "/repro.sh", repro);
-  ::chmod((dir + "/repro.sh").c_str(), 0755);
-  if (!ok) {
-    std::fprintf(stderr, "failed writing artifacts under '%s'\n", dir.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "[mfuzz] artifacts: %s\n", dir.c_str());
-  return 0;
-}
-
-// One injection case: clean golden run, one injected rerun, campaign
-// classification. Returns true when the case is a finding (an SDC — silent
-// architectural divergence with no machine check), after pinpointing the
-// first divergent cycle and writing the repro directory.
+// One injection case on the campaign engine: clean golden run, one
+// injected cold trial (no snapshots), campaign classification. Returns true
+// when the case is a finding (an SDC — silent architectural divergence with
+// no machine check), after the engine has pinpointed the first divergent
+// cycle and written the repro directory <out_dir>/sdc-<seed>.
 Result<bool> RunInjectionCase(uint64_t seed, const GeneratedCase& c, const CoreConfig& config,
                               uint64_t max_cycles, const std::string& out_dir) {
-  MetalSystem golden_sys(config);
-  MSIM_RETURN_IF_ERROR(BuildSystem(golden_sys, c));
-  golden_sys.core().Run(max_cycles);
-  if (!golden_sys.core().halted() || golden_sys.core().has_fatal()) {
+  CampaignOptions options;
+  options.snapshots = 0;
+  options.max_cycles = max_cycles;
+  options.out_dir = out_dir;
+  options.repro_files = {{"program.s", c.program}, {"mcode.s", c.mcode}};
+  options.repro_msim_args =
+      config.mram_parity ? "program.s --mcode mcode.s" : "program.s --mcode mcode.s --no-parity";
+  CampaignEngine engine(
+      config, [&c](MetalSystem& system) { return BuildSystem(system, c); }, options);
+  if (Status status = engine.Prepare(); !status.ok()) {
+    if (status.code() != ErrorCode::kFailedPrecondition) {
+      return status;
+    }
     // Generated programs are bounded by construction; a clean run that does
     // not halt is a generator problem, not a detection hole — skip the case.
-    std::fprintf(stderr, "[mfuzz] seed %llu: clean run did not halt in %llu cycles, skipping\n",
-                 (unsigned long long)seed, (unsigned long long)max_cycles);
+    std::fprintf(stderr, "[mfuzz] seed %llu: %s, skipping\n", (unsigned long long)seed,
+                 status.message().c_str());
     return false;
   }
-  const ArchOutcome golden = CaptureArchOutcome(golden_sys.core());
-  if (golden.cycles < 4) {
+  if (engine.golden().cycles < 4) {
     return false;  // no live cycle range to inject into
   }
 
-  const FaultSpec spec = DeriveInjectionSpec(seed, config, golden.cycles);
-  const uint64_t budget = golden.cycles * 4;
-
-  MetalSystem trial_sys(config);
-  MSIM_RETURN_IF_ERROR(BuildSystem(trial_sys, c));
-  FaultEngine engine(0);
-  engine.AddSpec(spec);
-  trial_sys.core().SetFaultEngine(&engine);
-  trial_sys.core().Run(budget);
-  const TrialOutcome outcome = ClassifyTrial(golden, CaptureArchOutcome(trial_sys.core()));
-  if (outcome != TrialOutcome::kSdc) {
-    if (outcome != TrialOutcome::kMasked) {
+  TrialPlan plan;
+  plan.index = seed;
+  plan.spec = DeriveInjectionSpec(seed, config, engine.golden().cycles);
+  MSIM_ASSIGN_OR_RETURN(TrialRecord record, engine.RunTrial(plan));
+  if (record.outcome != TrialOutcome::kSdc) {
+    if (record.outcome != TrialOutcome::kMasked) {
       std::fprintf(stderr, "[mfuzz] seed %llu oracle injection: %s (%s)\n",
-                   (unsigned long long)seed, TrialOutcomeName(outcome), spec.text.c_str());
+                   (unsigned long long)seed, TrialOutcomeName(record.outcome),
+                   plan.spec.text.c_str());
     }
     return false;
   }
 
   std::fprintf(stderr, "[mfuzz] seed %llu oracle injection: SILENT DATA CORRUPTION (%s)\n",
-               (unsigned long long)seed, spec.text.c_str());
-  MetalSystem a(config);
-  MetalSystem b(config);
-  MSIM_RETURN_IF_ERROR(BuildSystem(a, c));
-  MSIM_RETURN_IF_ERROR(BuildSystem(b, c));
-  FaultEngine pin_engine(0);
-  pin_engine.AddSpec(spec);
-  b.core().SetFaultEngine(&pin_engine);
-  LockstepOptions options;
-  options.granularity = CompareGranularity::kCycle;
-  options.max_cycles = budget;
-  MSIM_ASSIGN_OR_RETURN(const DivergenceReport report, RunLockstep(a, b, options));
-  WriteDivergenceText(report, std::cerr);
-  if (WriteInjectionArtifacts(out_dir, seed, c, spec, report, budget, config) != 0) {
-    return Internal("failed writing injection artifacts");
-  }
+               (unsigned long long)seed, plan.spec.text.c_str());
+  MSIM_RETURN_IF_ERROR(engine.PostProcessSdc(record));
+  WriteDivergenceText(record.divergence, std::cerr);
+  std::fprintf(stderr, "[mfuzz] artifacts: %s/%s\n", out_dir.c_str(), record.repro_dir.c_str());
   return true;
 }
 
