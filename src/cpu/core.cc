@@ -641,7 +641,6 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     bool sb_hit = false;
     uint32_t sb_tgt = 0;
 
-#if defined(__GNUC__) || defined(__clang__)
     // Threaded dispatch: one indirect jump per instruction, indexed by
     // the build-time executor opcode. Order must match SbExec exactly.
     static const void* const kSbGoto[] = {
@@ -657,7 +656,6 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
         &&sb_x_mem, &&sb_x_mem, &&sb_x_mem};
     static_assert(sizeof(kSbGoto) / sizeof(kSbGoto[0]) ==
                   static_cast<size_t>(SbExec::kCount));
-#endif
 
   sb_next:
     // The loop's budget/horizon condition, checked per cycle, with one
@@ -680,58 +678,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
       goto sb_next;
     }
     es = &slots[e];
-#if defined(__GNUC__) || defined(__clang__)
     goto *kSbGoto[static_cast<uint8_t>(es->exec)];
-#else
-    switch (es->exec) {
-      case SbExec::kConst: goto sb_x_const;
-      case SbExec::kAddi: goto sb_x_addi;
-      case SbExec::kSlti: goto sb_x_slti;
-      case SbExec::kSltiu: goto sb_x_sltiu;
-      case SbExec::kXori: goto sb_x_xori;
-      case SbExec::kOri: goto sb_x_ori;
-      case SbExec::kAndi: goto sb_x_andi;
-      case SbExec::kSlli: goto sb_x_slli;
-      case SbExec::kSrli: goto sb_x_srli;
-      case SbExec::kSrai: goto sb_x_srai;
-      case SbExec::kAdd: goto sb_x_add;
-      case SbExec::kSub: goto sb_x_sub;
-      case SbExec::kSll: goto sb_x_sll;
-      case SbExec::kSlt: goto sb_x_slt;
-      case SbExec::kSltu: goto sb_x_sltu;
-      case SbExec::kXor: goto sb_x_xor;
-      case SbExec::kSrl: goto sb_x_srl;
-      case SbExec::kSra: goto sb_x_sra;
-      case SbExec::kOr: goto sb_x_or;
-      case SbExec::kAnd: goto sb_x_and;
-      case SbExec::kFence: goto sb_x_fence;
-      case SbExec::kMul: goto sb_x_mul;
-      case SbExec::kMulh: goto sb_x_mulh;
-      case SbExec::kMulhsu: goto sb_x_mulhsu;
-      case SbExec::kMulhu: goto sb_x_mulhu;
-      case SbExec::kDiv: goto sb_x_div;
-      case SbExec::kDivu: goto sb_x_divu;
-      case SbExec::kRem: goto sb_x_rem;
-      case SbExec::kRemu: goto sb_x_remu;
-      case SbExec::kJal: goto sb_x_jal;
-      case SbExec::kJalr: goto sb_x_jalr;
-      case SbExec::kBeq: goto sb_x_beq;
-      case SbExec::kBne: goto sb_x_bne;
-      case SbExec::kBlt: goto sb_x_blt;
-      case SbExec::kBge: goto sb_x_bge;
-      case SbExec::kBltu: goto sb_x_bltu;
-      case SbExec::kBgeu: goto sb_x_bgeu;
-      case SbExec::kLb:
-      case SbExec::kLbu:
-      case SbExec::kLh:
-      case SbExec::kLhu:
-      case SbExec::kLw:
-      case SbExec::kSb:
-      case SbExec::kSh:
-      case SbExec::kSw: goto sb_x_mem;
-      default: goto sb_exit;
-    }
-#endif
 
     MSIM_SB_ALU(sb_x_const, es->cval)
     MSIM_SB_ALU(sb_x_addi, MSIM_SB_A + es->imm)
@@ -2195,115 +2142,115 @@ void Core::StageIf() {
 // the raw instruction word on restore (DecodeInstr is pure), so the format
 // does not depend on the decoder's in-memory representation.
 
-void Core::SaveState(SnapWriter& w, bool include_dram) const {
-  for (uint32_t reg : regs_) {
-    w.U32(reg);
+template <typename Self, typename Io>
+Status Core::TransferState(Self& self, Io& io, bool& include_dram) {
+  for (auto& reg : self.regs_) {
+    io.U32(reg);
   }
-  w.U64(cycle_);
+  io.U64(self.cycle_);
 
   // Fetch unit + IF/ID latch.
-  w.U32(fetch_pc_);
-  w.Bool(frontend_metal_);
-  w.Bool(fetch_inflight_);
-  w.U32(fetch_wait_);
-  for (const FetchSlot* slot : {&fetch_buffer_, &if_id_}) {
-    w.Bool(slot->valid);
-    w.U32(slot->pc);
-    w.U32(slot->raw);
-    w.Bool(slot->metal);
-    w.U32(static_cast<uint32_t>(slot->fault));
-    w.U32(slot->fault_addr);
+  io.U32(self.fetch_pc_);
+  io.Bool(self.frontend_metal_);
+  io.Bool(self.fetch_inflight_);
+  io.U32(self.fetch_wait_);
+  for (auto* slot : {&self.fetch_buffer_, &self.if_id_}) {
+    io.Bool(slot->valid);
+    io.U32(slot->pc);
+    io.U32(slot->raw);
+    io.Bool(slot->metal);
+    io.U32As(slot->fault);
+    io.U32(slot->fault_addr);
+    if constexpr (Io::kReading) {
+      // Rebuilt, not serialized: DecodeInstr is pure, and `d` is only
+      // consulted for faultless slots, whose raw word is the real fetched word.
+      slot->d = DecodeInstr(slot->raw);
+    }
   }
 
   // ID/EX latch.
-  w.Bool(id_ex_.valid);
-  w.U32(id_ex_.pc);
-  w.U32(id_ex_.d.raw);
-  w.Bool(id_ex_.metal);
-  w.U8(id_ex_.enters);
-  w.U8(id_ex_.exits);
-  w.U32(id_ex_.link);
-  w.U8(id_ex_.chain_len);
-  for (const ChainStep& step : id_ex_.chain) {
-    w.Bool(step.is_enter);
-    w.U8(step.entry);
-    w.U32(step.pc);
-    w.U32(step.target);
+  auto& id_ex = self.id_ex_;
+  io.Bool(id_ex.valid);
+  io.U32(id_ex.pc);
+  io.U32(id_ex.d.raw);
+  if constexpr (Io::kReading) {
+    id_ex.d = DecodeInstr(id_ex.d.raw);
   }
-  w.Bool(id_ex_.intercepted);
-  w.U8(id_ex_.intercept_entry);
-  w.U32(static_cast<uint32_t>(id_ex_.fetch_fault));
-  w.U32(id_ex_.fetch_fault_addr);
+  io.Bool(id_ex.metal);
+  io.U8(id_ex.enters);
+  io.U8(id_ex.exits);
+  io.U32(id_ex.link);
+  io.U8(id_ex.chain_len);
+  for (auto& step : id_ex.chain) {
+    io.Bool(step.is_enter);
+    io.U8(step.entry);
+    io.U32(step.pc);
+    io.U32(step.target);
+  }
+  io.Bool(id_ex.intercepted);
+  io.U8(id_ex.intercept_entry);
+  io.U32As(id_ex.fetch_fault);
+  io.U32(id_ex.fetch_fault_addr);
 
   // EX/MEM latch.
-  w.Bool(ex_mem_.valid);
-  w.U32(ex_mem_.pc);
-  w.U32(static_cast<uint32_t>(ex_mem_.kind));
-  w.Bool(ex_mem_.metal);
-  w.Bool(ex_mem_.is_store);
-  w.U32(ex_mem_.vaddr);
-  w.U32(ex_mem_.paddr);
-  w.U32(ex_mem_.store_value);
-  w.U32(ex_mem_.raw);
-  w.U8(ex_mem_.rd);
-  w.U32(ex_mem_.wait);
-  w.U8(static_cast<uint8_t>(ex_mem_.target));
+  auto& ex_mem = self.ex_mem_;
+  io.Bool(ex_mem.valid);
+  io.U32(ex_mem.pc);
+  io.U32As(ex_mem.kind);
+  io.Bool(ex_mem.metal);
+  io.Bool(ex_mem.is_store);
+  io.U32(ex_mem.vaddr);
+  io.U32(ex_mem.paddr);
+  io.U32(ex_mem.store_value);
+  io.U32(ex_mem.raw);
+  io.U8(ex_mem.rd);
+  io.U32(ex_mem.wait);
+  io.U8As(ex_mem.target);
 
   // Mode / machine-check / hazard bookkeeping.
-  w.Bool(arch_metal_);
-  w.U32(static_cast<uint32_t>(inflight_mode_ops_));
-  w.Bool(in_machine_check_);
-  w.U64(metal_resident_cycles_);
-  w.U8(last_metal_entry_);
-  w.Bool(bus_fault_armed_);
-  w.U32(bus_fault_and_);
-  w.U32(bus_fault_xor_);
-  w.Bool(ex_load_this_cycle_);
-  w.U8(ex_load_rd_);
-  w.Bool(redirect_this_cycle_);
+  io.Bool(self.arch_metal_);
+  io.U32As(self.inflight_mode_ops_);
+  io.Bool(self.in_machine_check_);
+  io.U64(self.metal_resident_cycles_);
+  io.U8(self.last_metal_entry_);
+  io.Bool(self.bus_fault_armed_);
+  io.U32(self.bus_fault_and_);
+  io.U32(self.bus_fault_xor_);
+  io.Bool(self.ex_load_this_cycle_);
+  io.U8(self.ex_load_rd_);
+  io.Bool(self.redirect_this_cycle_);
 
   // Run outcome.
-  w.Bool(halted_);
-  w.U32(exit_code_);
-  w.Bool(has_fatal_);
-  w.U32(static_cast<uint32_t>(fatal_.code()));
-  w.Str(fatal_.message());
+  io.Bool(self.halted_);
+  io.U32(self.exit_code_);
+  io.Bool(self.has_fatal_);
+  io.StatusField(self.fatal_);
+  MSIM_RETURN_IF_ERROR(io.ToStatus("core fatal status"));
 
   // Statistics.
-  w.U64(stats_.cycles);
-  w.U64(stats_.instret);
-  w.U64(stats_.metal_instret);
-  w.U64(stats_.metal_cycles);
-  w.U64(stats_.menters);
-  w.U64(stats_.mexits);
-  w.U64(stats_.fast_replacements);
-  w.U64(stats_.exceptions);
-  w.U64(stats_.interrupts);
-  w.U64(stats_.intercepts);
-  w.U64(stats_.control_flushes);
-  w.U64(stats_.load_use_stalls);
-  w.U64(stats_.machine_checks);
-  w.U64(stats_.watchdog_fires);
-
-  // Predecode cache: contents AND counters, so a restored run's stats-json
-  // stays byte-identical to the uninterrupted run (snapshot version 2).
-  predecode_.SaveState(w);
-
-  // Components.
-  metal_.SaveState(w);
-  mram_.SaveState(w);
-  mmu_.tlb().SaveState(w);
-  icache_.SaveState(w);
-  dcache_.SaveState(w);
-  intc_.SaveState(w);
-  timer_.SaveState(w);
-  nic_.SaveState(w);
-  console_.SaveState(w);
-
-  w.Bool(include_dram);
-  if (include_dram) {
-    bus_.dram().SaveState(w);
+  auto& stats = self.stats_;
+  for (auto* counter :
+       {&stats.cycles, &stats.instret, &stats.metal_instret, &stats.metal_cycles,
+        &stats.menters, &stats.mexits, &stats.fast_replacements, &stats.exceptions,
+        &stats.interrupts, &stats.intercepts, &stats.control_flushes, &stats.load_use_stalls,
+        &stats.machine_checks, &stats.watchdog_fires}) {
+    io.U64(*counter);
   }
+  MSIM_RETURN_IF_ERROR(io.ToStatus("core scalar state"));
+
+  // Components, the predecode cache first: its contents AND counters, so a
+  // restored run's stats-json stays byte-identical to the uninterrupted run
+  // (snapshot version 2).
+  MSIM_RETURN_IF_ERROR(ForEachComponent(
+      self, [&io](const char*, auto& component) { return TransferComponent(io, component); }));
+
+  io.Bool(include_dram);
+  MSIM_RETURN_IF_ERROR(io.ToStatus("core dram flag"));
+  return include_dram ? TransferComponent(io, self.bus_.dram()) : Status::Ok();
+}
+
+void Core::SaveState(SnapWriter& w, bool include_dram) const {
+  TransferState(*this, w, include_dram);
 }
 
 Status Core::RestoreState(SnapReader& r) {
@@ -2312,113 +2259,8 @@ Status Core::RestoreState(SnapReader& r) {
   // invisible, like the stepping mode); msim restores it from the optional
   // "superblocks" snapshot section afterwards.
   superblocks_.InvalidateAll();
-  for (uint32_t& reg : regs_) {
-    reg = r.U32();
-  }
-  cycle_ = r.U64();
-
-  fetch_pc_ = r.U32();
-  frontend_metal_ = r.Bool();
-  fetch_inflight_ = r.Bool();
-  fetch_wait_ = r.U32();
-  for (FetchSlot* slot : {&fetch_buffer_, &if_id_}) {
-    slot->valid = r.Bool();
-    slot->pc = r.U32();
-    slot->raw = r.U32();
-    slot->metal = r.Bool();
-    slot->fault = static_cast<ExcCause>(r.U32());
-    slot->fault_addr = r.U32();
-    // Rebuilt, not serialized: DecodeInstr is pure, and `d` is only consulted
-    // for faultless slots, whose raw word is the real fetched word.
-    slot->d = DecodeInstr(slot->raw);
-  }
-
-  id_ex_.valid = r.Bool();
-  id_ex_.pc = r.U32();
-  id_ex_.d = DecodeInstr(r.U32());
-  id_ex_.metal = r.Bool();
-  id_ex_.enters = r.U8();
-  id_ex_.exits = r.U8();
-  id_ex_.link = r.U32();
-  id_ex_.chain_len = r.U8();
-  for (ChainStep& step : id_ex_.chain) {
-    step.is_enter = r.Bool();
-    step.entry = r.U8();
-    step.pc = r.U32();
-    step.target = r.U32();
-  }
-  id_ex_.intercepted = r.Bool();
-  id_ex_.intercept_entry = r.U8();
-  id_ex_.fetch_fault = static_cast<ExcCause>(r.U32());
-  id_ex_.fetch_fault_addr = r.U32();
-
-  ex_mem_.valid = r.Bool();
-  ex_mem_.pc = r.U32();
-  ex_mem_.kind = static_cast<InstrKind>(r.U32());
-  ex_mem_.metal = r.Bool();
-  ex_mem_.is_store = r.Bool();
-  ex_mem_.vaddr = r.U32();
-  ex_mem_.paddr = r.U32();
-  ex_mem_.store_value = r.U32();
-  ex_mem_.raw = r.U32();
-  ex_mem_.rd = r.U8();
-  ex_mem_.wait = r.U32();
-  ex_mem_.target = static_cast<MemOp::Target>(r.U8());
-
-  arch_metal_ = r.Bool();
-  inflight_mode_ops_ = static_cast<int>(r.U32());
-  in_machine_check_ = r.Bool();
-  metal_resident_cycles_ = r.U64();
-  last_metal_entry_ = r.U8();
-  bus_fault_armed_ = r.Bool();
-  bus_fault_and_ = r.U32();
-  bus_fault_xor_ = r.U32();
-  ex_load_this_cycle_ = r.Bool();
-  ex_load_rd_ = r.U8();
-  redirect_this_cycle_ = r.Bool();
-
-  halted_ = r.Bool();
-  exit_code_ = r.U32();
-  has_fatal_ = r.Bool();
-  const uint32_t fatal_code = r.U32();
-  const std::string fatal_message = r.Str();
-  MSIM_RETURN_IF_ERROR(r.ToStatus("core fatal status"));
-  fatal_ = fatal_code == 0 ? Status::Ok()
-                           : Status(static_cast<ErrorCode>(fatal_code), fatal_message);
-
-  stats_.cycles = r.U64();
-  stats_.instret = r.U64();
-  stats_.metal_instret = r.U64();
-  stats_.metal_cycles = r.U64();
-  stats_.menters = r.U64();
-  stats_.mexits = r.U64();
-  stats_.fast_replacements = r.U64();
-  stats_.exceptions = r.U64();
-  stats_.interrupts = r.U64();
-  stats_.intercepts = r.U64();
-  stats_.control_flushes = r.U64();
-  stats_.load_use_stalls = r.U64();
-  stats_.machine_checks = r.U64();
-  stats_.watchdog_fires = r.U64();
-  MSIM_RETURN_IF_ERROR(r.ToStatus("core scalar state"));
-
-  MSIM_RETURN_IF_ERROR(predecode_.RestoreState(r));
-  MSIM_RETURN_IF_ERROR(metal_.RestoreState(r));
-  MSIM_RETURN_IF_ERROR(mram_.RestoreState(r));
-  MSIM_RETURN_IF_ERROR(mmu_.tlb().RestoreState(r));
-  MSIM_RETURN_IF_ERROR(icache_.RestoreState(r));
-  MSIM_RETURN_IF_ERROR(dcache_.RestoreState(r));
-  MSIM_RETURN_IF_ERROR(intc_.RestoreState(r));
-  MSIM_RETURN_IF_ERROR(timer_.RestoreState(r));
-  MSIM_RETURN_IF_ERROR(nic_.RestoreState(r));
-  MSIM_RETURN_IF_ERROR(console_.RestoreState(r));
-
-  const bool has_dram = r.Bool();
-  MSIM_RETURN_IF_ERROR(r.ToStatus("core dram flag"));
-  if (has_dram) {
-    MSIM_RETURN_IF_ERROR(bus_.dram().RestoreState(r));
-  }
-  return Status::Ok();
+  bool has_dram = false;
+  return TransferState(*this, r, has_dram);
 }
 
 uint64_t Core::StateDigest(bool include_dram) const {

@@ -205,8 +205,31 @@ class Core {
   // cycle (no allocation). Excluding DRAM keeps it O(fixed state) — MRAM,
   // whose contents Metal code mutates, is always included.
   uint64_t StateDigest(bool include_dram = false) const;
+  // Visits the components serialized after the core's own state, in stream
+  // order, as fn(name, component), and returns the first non-OK Status fn
+  // returns. SaveState, RestoreState and the divergence report's
+  // per-component digests (snap/diverge.cc) all walk this one list.
+  template <typename Self, typename Fn>
+  static Status ForEachComponent(Self& self, Fn&& fn) {
+    MSIM_RETURN_IF_ERROR(fn("predecode", self.predecode_));
+    MSIM_RETURN_IF_ERROR(fn("metal-unit", self.metal_));
+    MSIM_RETURN_IF_ERROR(fn("mram", self.mram_));
+    MSIM_RETURN_IF_ERROR(fn("tlb", self.mmu_.tlb()));
+    MSIM_RETURN_IF_ERROR(fn("icache", self.icache_));
+    MSIM_RETURN_IF_ERROR(fn("dcache", self.dcache_));
+    MSIM_RETURN_IF_ERROR(fn("intc", self.intc_));
+    MSIM_RETURN_IF_ERROR(fn("timer", self.timer_));
+    MSIM_RETURN_IF_ERROR(fn("nic", self.nic_));
+    MSIM_RETURN_IF_ERROR(fn("console", self.console_));
+    return Status::Ok();
+  }
 
  private:
+  // The one field list behind SaveState and RestoreState (snap/snapstream.h).
+  // `include_dram` is written by a save and read back by a restore.
+  template <typename Self, typename Io>
+  static Status TransferState(Self& self, Io& io, bool& include_dram);
+
   // In-flight instruction micro-state. Decode-stage replacement can merge a
   // CHAIN of transitions into one op (e.g. menter -> empty mroutine's mexit,
   // or an mexit whose resume instruction is itself a menter), so enters and

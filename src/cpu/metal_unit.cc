@@ -142,81 +142,46 @@ const InterceptSlot* MetalUnit::MatchIntercept(uint32_t raw) const {
   return nullptr;
 }
 
-void MetalUnit::SaveState(SnapWriter& w) const {
-  for (uint32_t value : mreg_) {
-    w.U32(value);
+template <typename Self, typename Io>
+Status MetalUnit::TransferState(Self& self, Io& io) {
+  const auto words = [&io](auto& table) {
+    for (auto& value : table) {
+      io.U32(value);
+    }
+  };
+  words(self.mreg_);
+  words(self.creg_);
+  words(self.entry_table_);
+  words(self.delegation_);
+  io.U32(self.irq_entry_);
+  for (auto& slot : self.intercepts_) {
+    io.Bool(slot.enable);
+    io.U8(slot.opcode);
+    io.U8(slot.funct3);
+    io.Bool(slot.match_funct3);
+    io.U8(slot.funct7);
+    io.Bool(slot.match_funct7);
+    io.U8(slot.entry);
   }
-  for (uint32_t value : creg_) {
-    w.U32(value);
-  }
-  for (uint32_t address : entry_table_) {
-    w.U32(address);
-  }
-  for (uint32_t entry : delegation_) {
-    w.U32(entry);
-  }
-  w.U32(irq_entry_);
-  for (const InterceptSlot& slot : intercepts_) {
-    w.Bool(slot.enable);
-    w.U8(slot.opcode);
-    w.U8(slot.funct3);
-    w.Bool(slot.match_funct3);
-    w.U8(slot.funct7);
-    w.Bool(slot.match_funct7);
-    w.U8(slot.entry);
-  }
-  w.Bool(any_intercept_);
-  w.U32(operands_.rs1_value);
-  w.U32(operands_.rs2_value);
-  w.U32(static_cast<uint32_t>(operands_.imm));
-  w.U8(operands_.rd_index);
-  w.U8(operands_.rs1_index);
-  w.U8(operands_.rs2_index);
-  w.U32(operands_.raw);
-  w.Bool(pending_writeback_valid_);
-  w.U32(pending_writeback_);
-  w.U64(stats_.intercept_configs);
-  w.U64(stats_.operand_latches);
-  w.U64(stats_.writebacks_taken);
+  io.Bool(self.any_intercept_);
+  auto& operands = self.operands_;
+  io.U32(operands.rs1_value);
+  io.U32(operands.rs2_value);
+  io.U32As(operands.imm);
+  io.U8(operands.rd_index);
+  io.U8(operands.rs1_index);
+  io.U8(operands.rs2_index);
+  io.U32(operands.raw);
+  io.Bool(self.pending_writeback_valid_);
+  io.U32(self.pending_writeback_);
+  io.U64(self.stats_.intercept_configs);
+  io.U64(self.stats_.operand_latches);
+  io.U64(self.stats_.writebacks_taken);
+  return io.ToStatus("metal unit");
 }
 
-Status MetalUnit::RestoreState(SnapReader& r) {
-  for (uint32_t& value : mreg_) {
-    value = r.U32();
-  }
-  for (uint32_t& value : creg_) {
-    value = r.U32();
-  }
-  for (uint32_t& address : entry_table_) {
-    address = r.U32();
-  }
-  for (uint32_t& entry : delegation_) {
-    entry = r.U32();
-  }
-  irq_entry_ = r.U32();
-  for (InterceptSlot& slot : intercepts_) {
-    slot.enable = r.Bool();
-    slot.opcode = r.U8();
-    slot.funct3 = r.U8();
-    slot.match_funct3 = r.Bool();
-    slot.funct7 = r.U8();
-    slot.match_funct7 = r.Bool();
-    slot.entry = r.U8();
-  }
-  any_intercept_ = r.Bool();
-  operands_.rs1_value = r.U32();
-  operands_.rs2_value = r.U32();
-  operands_.imm = static_cast<int32_t>(r.U32());
-  operands_.rd_index = r.U8();
-  operands_.rs1_index = r.U8();
-  operands_.rs2_index = r.U8();
-  operands_.raw = r.U32();
-  pending_writeback_valid_ = r.Bool();
-  pending_writeback_ = r.U32();
-  stats_.intercept_configs = r.U64();
-  stats_.operand_latches = r.U64();
-  stats_.writebacks_taken = r.U64();
-  return r.ToStatus("metal unit");
-}
+void MetalUnit::SaveState(SnapWriter& w) const { TransferState(*this, w); }
+
+Status MetalUnit::RestoreState(SnapReader& r) { return TransferState(*this, r); }
 
 }  // namespace msim

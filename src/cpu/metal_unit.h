@@ -152,6 +152,10 @@ class MetalUnit {
   uint32_t ienable() const { return creg_[kCrIenable]; }
 
  private:
+  // The one field list behind SaveState and RestoreState (snap/snapstream.h).
+  template <typename Self, typename Io>
+  static Status TransferState(Self& self, Io& io);
+
   std::array<uint32_t, kNumMetalRegisters> mreg_{};
   std::array<uint32_t, kCrCount> creg_{};
   std::array<uint32_t, kMaxMroutines> entry_table_{};

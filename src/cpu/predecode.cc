@@ -38,58 +38,57 @@ void PredecodeCache::RegisterMetrics(MetricRegistry& registry) const {
                     "whole-cache invalidations (program load, restore, icache upsets)");
 }
 
-void PredecodeCache::SaveState(SnapWriter& w) const {
-  w.U32(static_cast<uint32_t>(slots_.size()));
-  w.U64(stats_.hits);
-  w.U64(stats_.verified_hits);
-  w.U64(stats_.misses);
-  w.U64(stats_.invalidations);
+template <typename Self, typename Io>
+Status PredecodeCache::TransferState(Self& self, Io& io) {
+  uint32_t size = static_cast<uint32_t>(self.slots_.size());
+  io.U32(size);
+  for (auto* counter : {&self.stats_.hits, &self.stats_.verified_hits, &self.stats_.misses,
+                        &self.stats_.invalidations}) {
+    io.U64(*counter);
+  }
   uint32_t valid = 0;
-  for (const Slot& slot : slots_) {
-    if (slot.valid) {
-      ++valid;
+  if constexpr (!Io::kReading) {
+    for (const Slot& slot : self.slots_) {
+      valid += slot.valid ? 1 : 0;
     }
   }
-  w.U32(valid);
-  for (const Slot& slot : slots_) {
-    if (!slot.valid) {
-      continue;
+  io.U32(valid);
+  MSIM_RETURN_IF_ERROR(io.ToStatus("predecode header"));
+  // Only valid slots are serialized, as (addr, raw, generation).
+  const auto entry = [&io](auto& slot) {
+    io.U32(slot.addr);
+    io.U32(slot.raw);
+    io.U64(slot.gen);
+  };
+  if constexpr (Io::kReading) {
+    if (size != self.slots_.size()) {
+      return InvalidArgument(
+          StrFormat("snapshot predecode geometry (%u entries) differs from this core (%u)", size,
+                    static_cast<uint32_t>(self.slots_.size())));
     }
-    w.U32(slot.addr);
-    w.U32(slot.raw);
-    w.U64(slot.gen);
+    for (Slot& slot : self.slots_) {
+      slot.valid = false;
+    }
+    for (uint32_t i = 0; i < valid; ++i) {
+      Slot slot;
+      entry(slot);
+      MSIM_RETURN_IF_ERROR(io.ToStatus("predecode entry"));
+      slot.valid = true;
+      slot.d = DecodeInstr(slot.raw);
+      self.slots_[self.Index(slot.addr)] = slot;
+    }
+  } else {
+    for (const Slot& slot : self.slots_) {
+      if (slot.valid) {
+        entry(slot);
+      }
+    }
   }
+  return io.ToStatus("predecode entries");
 }
 
-Status PredecodeCache::RestoreState(SnapReader& r) {
-  const uint32_t saved_size = r.U32();
-  stats_.hits = r.U64();
-  stats_.verified_hits = r.U64();
-  stats_.misses = r.U64();
-  stats_.invalidations = r.U64();
-  const uint32_t valid = r.U32();
-  MSIM_RETURN_IF_ERROR(r.ToStatus("predecode header"));
-  if (saved_size != slots_.size()) {
-    return InvalidArgument(
-        StrFormat("snapshot predecode geometry (%u entries) differs from this core (%u)",
-                  saved_size, static_cast<uint32_t>(slots_.size())));
-  }
-  for (Slot& slot : slots_) {
-    slot.valid = false;
-  }
-  for (uint32_t i = 0; i < valid; ++i) {
-    const uint32_t addr = r.U32();
-    const uint32_t raw = r.U32();
-    const uint64_t gen = r.U64();
-    MSIM_RETURN_IF_ERROR(r.ToStatus("predecode entry"));
-    Slot& slot = slots_[Index(addr)];
-    slot.valid = true;
-    slot.addr = addr;
-    slot.raw = raw;
-    slot.gen = gen;
-    slot.d = DecodeInstr(raw);
-  }
-  return r.ToStatus("predecode entries");
-}
+void PredecodeCache::SaveState(SnapWriter& w) const { TransferState(*this, w); }
+
+Status PredecodeCache::RestoreState(SnapReader& r) { return TransferState(*this, r); }
 
 }  // namespace msim

@@ -139,6 +139,10 @@ class PredecodeCache {
   Status RestoreState(SnapReader& r);
 
  private:
+  // The one field list behind SaveState and RestoreState (snap/snapstream.h).
+  template <typename Self, typename Io>
+  static Status TransferState(Self& self, Io& io);
+
   struct Slot {
     bool valid = false;
     uint32_t addr = 0;

@@ -409,6 +409,18 @@ void SuperblockCache::RegisterMetrics(MetricRegistry& registry) const {
                     "taken branches that stayed in-trace via a tree segment");
 }
 
+template <typename Self, typename Io>
+Status SuperblockCache::TransferCounters(Self& self, Io& io) {
+  auto& stats = self.stats_;
+  for (auto* counter :
+       {&stats.builds, &stats.executions, &stats.chains, &stats.instructions,
+        &stats.invalidations, &stats.evictions, &stats.mem_fast_hits, &stats.mem_slow_exits,
+        &stats.tree_grows, &stats.tree_transitions}) {
+    io.U64(*counter);
+  }
+  return io.ToStatus("superblock counters");
+}
+
 void SuperblockCache::SaveState(SnapWriter& w) const {
   w.U32(kSuperblockSectionV2);
   w.U32(2);  // section format version
@@ -439,16 +451,7 @@ void SuperblockCache::SaveState(SnapWriter& w) const {
     w.U8(sb.grow_pending ? 1 : 0);
     w.U32(sb.grow_slot);
   }
-  w.U64(stats_.builds);
-  w.U64(stats_.executions);
-  w.U64(stats_.chains);
-  w.U64(stats_.instructions);
-  w.U64(stats_.invalidations);
-  w.U64(stats_.evictions);
-  w.U64(stats_.mem_fast_hits);
-  w.U64(stats_.mem_slow_exits);
-  w.U64(stats_.tree_grows);
-  w.U64(stats_.tree_transitions);
+  TransferCounters(*this, w);
 }
 
 Status SuperblockCache::RestoreState(SnapReader& r) {
@@ -562,17 +565,7 @@ Status SuperblockCache::RestoreState(SnapReader& r) {
     sb.grow_pending = grow_pending;
     sb.grow_slot = grow_slot;
   }
-  stats_.builds = r.U64();
-  stats_.executions = r.U64();
-  stats_.chains = r.U64();
-  stats_.instructions = r.U64();
-  stats_.invalidations = r.U64();
-  stats_.evictions = r.U64();
-  stats_.mem_fast_hits = r.U64();
-  stats_.mem_slow_exits = r.U64();
-  stats_.tree_grows = r.U64();
-  stats_.tree_transitions = r.U64();
-  return r.ToStatus("superblock counters");
+  return TransferCounters(*this, r);
 }
 
 }  // namespace msim

@@ -304,6 +304,12 @@ class SuperblockCache {
  private:
   uint32_t Index(uint32_t addr) const { return (addr >> 2) & mask_; }
 
+  // The counter block that ends the section, one field list for both
+  // directions (snap/snapstream.h). The trace list before it is not a
+  // mirror image: restore re-translates and validates every slot.
+  template <typename Self, typename Io>
+  static Status TransferCounters(Self& self, Io& io);
+
   // Translates one decoded word at `pc` into an executor slot. False when
   // the kind has no executor op (trace-unsafe or unknown).
   static bool TranslateSlot(const Decoded& d, uint32_t pc, uint32_t raw, SbSlot* out);

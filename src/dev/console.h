@@ -36,17 +36,18 @@ class ConsoleDevice : public MmioDevice {
 
   // Checkpoint/restore (src/snap). The output buffer is part of the image so
   // a restored run reproduces the straight run's console output verbatim.
-  void SaveState(SnapWriter& w) const {
-    w.Str(output_);
-    w.U32(exit_code_);
-  }
-  Status RestoreState(SnapReader& r) {
-    output_ = r.Str();
-    exit_code_ = r.U32();
-    return r.ToStatus("console");
-  }
+  void SaveState(SnapWriter& w) const { TransferState(*this, w); }
+  Status RestoreState(SnapReader& r) { return TransferState(*this, r); }
 
  private:
+  // The one field list behind SaveState and RestoreState (snap/snapstream.h).
+  template <typename Self, typename Io>
+  static Status TransferState(Self& self, Io& io) {
+    io.Str(self.output_);
+    io.U32(self.exit_code_);
+    return io.ToStatus("console");
+  }
+
   std::string output_;
   uint32_t exit_code_ = 0;
 };

@@ -43,13 +43,17 @@ class InterruptController : public MmioDevice {
   uint32_t pending() const { return pending_; }
 
   // Checkpoint/restore (src/snap).
-  void SaveState(SnapWriter& w) const { w.U32(pending_); }
-  Status RestoreState(SnapReader& r) {
-    pending_ = r.U32();
-    return r.ToStatus("intc");
-  }
+  void SaveState(SnapWriter& w) const { TransferState(*this, w); }
+  Status RestoreState(SnapReader& r) { return TransferState(*this, r); }
 
  private:
+  // The one field list behind SaveState and RestoreState (snap/snapstream.h).
+  template <typename Self, typename Io>
+  static Status TransferState(Self& self, Io& io) {
+    io.U32(self.pending_);
+    return io.ToStatus("intc");
+  }
+
   uint32_t pending_ = 0;
 };
 

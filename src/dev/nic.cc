@@ -68,41 +68,43 @@ uint64_t NicDevice::NextEventCycle(uint64_t cycle) const {
   return std::max(cycle + 1, scheduled_.front().arrival_cycle);
 }
 
-void NicDevice::SaveState(SnapWriter& w) const {
-  w.U64(static_cast<uint64_t>(scheduled_.size()));
-  for (const Pending& pending : scheduled_) {
-    w.U64(pending.arrival_cycle);
-    w.Bytes(pending.payload);
+template <typename Self, typename Io>
+Status NicDevice::TransferState(Self& self, Io& io) {
+  if constexpr (Io::kReading) {
+    self.scheduled_.clear();
+    self.rx_queue_.clear();
   }
-  w.U64(static_cast<uint64_t>(rx_queue_.size()));
-  for (const std::vector<uint8_t>& packet : rx_queue_) {
-    w.Bytes(packet);
+  // Counts first, then entries one by one: a truncated count cannot make a
+  // restore allocate past the payload.
+  uint64_t num_scheduled = self.scheduled_.size();
+  io.U64(num_scheduled);
+  MSIM_RETURN_IF_ERROR(io.ToStatus("nic schedule"));
+  for (uint64_t i = 0; i < num_scheduled; ++i) {
+    if constexpr (Io::kReading) {
+      self.scheduled_.emplace_back();
+    }
+    auto& pending = self.scheduled_[i];
+    io.U64(pending.arrival_cycle);
+    io.Bytes(pending.payload);
+    MSIM_RETURN_IF_ERROR(io.ToStatus("nic scheduled packet"));
   }
-  w.U32(head_offset_);
-  w.U64(packets_delivered_);
+  uint64_t num_queued = self.rx_queue_.size();
+  io.U64(num_queued);
+  MSIM_RETURN_IF_ERROR(io.ToStatus("nic rx queue"));
+  for (uint64_t i = 0; i < num_queued; ++i) {
+    if constexpr (Io::kReading) {
+      self.rx_queue_.emplace_back();
+    }
+    io.Bytes(self.rx_queue_[i]);
+    MSIM_RETURN_IF_ERROR(io.ToStatus("nic rx packet"));
+  }
+  io.U32(self.head_offset_);
+  io.U64(self.packets_delivered_);
+  return io.ToStatus("nic");
 }
 
-Status NicDevice::RestoreState(SnapReader& r) {
-  scheduled_.clear();
-  rx_queue_.clear();
-  const uint64_t num_scheduled = r.U64();
-  MSIM_RETURN_IF_ERROR(r.ToStatus("nic schedule"));
-  for (uint64_t i = 0; i < num_scheduled; ++i) {
-    Pending pending;
-    pending.arrival_cycle = r.U64();
-    pending.payload = r.Bytes();
-    MSIM_RETURN_IF_ERROR(r.ToStatus("nic scheduled packet"));
-    scheduled_.push_back(std::move(pending));
-  }
-  const uint64_t num_queued = r.U64();
-  MSIM_RETURN_IF_ERROR(r.ToStatus("nic rx queue"));
-  for (uint64_t i = 0; i < num_queued; ++i) {
-    rx_queue_.push_back(r.Bytes());
-    MSIM_RETURN_IF_ERROR(r.ToStatus("nic rx packet"));
-  }
-  head_offset_ = r.U32();
-  packets_delivered_ = r.U64();
-  return r.ToStatus("nic");
-}
+void NicDevice::SaveState(SnapWriter& w) const { TransferState(*this, w); }
+
+Status NicDevice::RestoreState(SnapReader& r) { return TransferState(*this, r); }
 
 }  // namespace msim

@@ -53,6 +53,10 @@ class NicDevice : public MmioDevice {
   Status RestoreState(SnapReader& r);
 
  private:
+  // The one field list behind SaveState and RestoreState (snap/snapstream.h).
+  template <typename Self, typename Io>
+  static Status TransferState(Self& self, Io& io);
+
   struct Pending {
     uint64_t arrival_cycle;
     std::vector<uint8_t> payload;

@@ -65,21 +65,18 @@ uint64_t TimerDevice::NextEventCycle(uint64_t cycle) const {
   return cycle + 1 + (compare_ - next_count);
 }
 
-void TimerDevice::SaveState(SnapWriter& w) const {
-  w.U64(count_);
-  w.U32(compare_);
-  w.U32(interval_);
-  w.Bool(enabled_);
-  w.Bool(armed_);
+template <typename Self, typename Io>
+Status TimerDevice::TransferState(Self& self, Io& io) {
+  io.U64(self.count_);
+  io.U32(self.compare_);
+  io.U32(self.interval_);
+  io.Bool(self.enabled_);
+  io.Bool(self.armed_);
+  return io.ToStatus("timer");
 }
 
-Status TimerDevice::RestoreState(SnapReader& r) {
-  count_ = r.U64();
-  compare_ = r.U32();
-  interval_ = r.U32();
-  enabled_ = r.Bool();
-  armed_ = r.Bool();
-  return r.ToStatus("timer");
-}
+void TimerDevice::SaveState(SnapWriter& w) const { TransferState(*this, w); }
+
+Status TimerDevice::RestoreState(SnapReader& r) { return TransferState(*this, r); }
 
 }  // namespace msim

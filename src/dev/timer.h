@@ -37,6 +37,10 @@ class TimerDevice : public MmioDevice {
   Status RestoreState(SnapReader& r);
 
  private:
+  // The one field list behind SaveState and RestoreState (snap/snapstream.h).
+  template <typename Self, typename Io>
+  static Status TransferState(Self& self, Io& io);
+
   uint64_t count_ = 0;
   uint32_t compare_ = 0;
   uint32_t interval_ = 0;

@@ -359,32 +359,43 @@ void FaultEngine::Apply(Core& core, const FaultSpec& spec) {
                      static_cast<uint32_t>(spec.target), xor_mask, core.metal_mode());
 }
 
-void FaultEngine::SaveState(SnapWriter& w) const {
-  w.U64(static_cast<uint64_t>(specs_.size()));
-  w.U64(rng_.state());
-  w.U64(static_cast<uint64_t>(fired_.size()));
-  for (size_t i = 0; i < fired_.size(); ++i) {
-    w.Bool(fired_[i]);
+template <typename Self, typename Io>
+Status FaultEngine::TransferState(Self& self, Io& io) {
+  uint64_t num_specs = self.specs_.size();
+  io.U64(num_specs);
+  MSIM_RETURN_IF_ERROR(io.ToStatus("fault engine header"));
+  if constexpr (Io::kReading) {
+    if (num_specs != self.specs_.size()) {
+      return InvalidArgument(
+          "snapshot fault-engine state was saved with a different --inject spec list");
+    }
   }
-  w.U64(injections_);
+  uint64_t rng_state = self.rng_.state();
+  io.U64(rng_state);
+  uint64_t num_fired = self.fired_.size();
+  io.U64(num_fired);
+  MSIM_RETURN_IF_ERROR(io.ToStatus("fault engine fired flags"));
+  if constexpr (Io::kReading) {
+    // fired_ parallels specs_, so a payload's count is checked, never
+    // allocated.
+    if (num_fired != self.fired_.size()) {
+      return InvalidArgument("snapshot fault-engine state does not hold one fired flag per spec");
+    }
+    self.rng_.set_state(rng_state);
+  }
+  for (size_t i = 0; i < self.fired_.size(); ++i) {
+    bool fired = self.fired_[i];
+    io.Bool(fired);
+    if constexpr (Io::kReading) {
+      self.fired_[i] = fired;
+    }
+  }
+  io.U64(self.injections_);
+  return io.ToStatus("fault engine");
 }
 
-Status FaultEngine::RestoreState(SnapReader& r) {
-  const uint64_t num_specs = r.U64();
-  MSIM_RETURN_IF_ERROR(r.ToStatus("fault engine header"));
-  if (num_specs != specs_.size()) {
-    return InvalidArgument(
-        "snapshot fault-engine state was saved with a different --inject spec list");
-  }
-  rng_.set_state(r.U64());
-  const uint64_t num_fired = r.U64();
-  MSIM_RETURN_IF_ERROR(r.ToStatus("fault engine fired flags"));
-  fired_.assign(num_fired, false);
-  for (uint64_t i = 0; i < num_fired; ++i) {
-    fired_[i] = r.Bool();
-  }
-  injections_ = r.U64();
-  return r.ToStatus("fault engine");
-}
+void FaultEngine::SaveState(SnapWriter& w) const { TransferState(*this, w); }
+
+Status FaultEngine::RestoreState(SnapReader& r) { return TransferState(*this, r); }
 
 }  // namespace msim

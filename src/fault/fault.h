@@ -123,6 +123,10 @@ class FaultEngine {
   }
 
  private:
+  // The one field list behind SaveState and RestoreState (snap/snapstream.h).
+  template <typename Self, typename Io>
+  static Status TransferState(Self& self, Io& io);
+
   void Apply(Core& core, const FaultSpec& spec);
 
   Rng rng_;

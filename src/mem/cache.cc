@@ -52,29 +52,27 @@ void Cache::InvalidateAll() {
   }
 }
 
-void Cache::SaveState(SnapWriter& w) const {
-  w.U32(num_lines_);
-  for (const Line& line : lines_) {
-    w.Bool(line.valid);
-    w.U32(line.tag);
+template <typename Self, typename Io>
+Status Cache::TransferState(Self& self, Io& io) {
+  uint32_t lines = self.num_lines_;
+  io.U32(lines);
+  MSIM_RETURN_IF_ERROR(io.ToStatus("cache header"));
+  if constexpr (Io::kReading) {
+    if (lines != self.num_lines_) {
+      return InvalidArgument("snapshot cache geometry differs from this configuration");
+    }
   }
-  w.U64(stats_.hits);
-  w.U64(stats_.misses);
+  for (auto& line : self.lines_) {
+    io.Bool(line.valid);
+    io.U32(line.tag);
+  }
+  io.U64(self.stats_.hits);
+  io.U64(self.stats_.misses);
+  return io.ToStatus("cache lines");
 }
 
-Status Cache::RestoreState(SnapReader& r) {
-  const uint32_t saved_lines = r.U32();
-  MSIM_RETURN_IF_ERROR(r.ToStatus("cache header"));
-  if (saved_lines != num_lines_) {
-    return InvalidArgument("snapshot cache geometry differs from this configuration");
-  }
-  for (Line& line : lines_) {
-    line.valid = r.Bool();
-    line.tag = r.U32();
-  }
-  stats_.hits = r.U64();
-  stats_.misses = r.U64();
-  return r.ToStatus("cache lines");
-}
+void Cache::SaveState(SnapWriter& w) const { TransferState(*this, w); }
+
+Status Cache::RestoreState(SnapReader& r) { return TransferState(*this, r); }
 
 }  // namespace msim

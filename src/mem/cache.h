@@ -82,6 +82,10 @@ class Cache {
   uint32_t miss_latency() const { return miss_latency_; }
 
  private:
+  // The one field list behind SaveState and RestoreState (snap/snapstream.h).
+  template <typename Self, typename Io>
+  static Status TransferState(Self& self, Io& io);
+
   struct Line {
     bool valid = false;
     uint32_t tag = 0;

@@ -1,6 +1,7 @@
 #include "mem/mram.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "snap/snapstream.h"
@@ -168,51 +169,45 @@ void Mram::RegisterMetrics(MetricRegistry& registry) const {
                     "words restored from the shadow copy by Scrub()");
 }
 
-void Mram::SaveState(SnapWriter& w) const {
-  w.Bool(parity_enabled_);
-  w.U64(generation_);
-  w.Bytes(code_);
-  w.Bytes(data_);
-  w.Bytes(code_shadow_);
-  w.Bytes(data_shadow_);
-  w.Bytes(code_parity_);
-  w.Bytes(data_parity_);
-  w.U64(stats_.code_fetches);
-  w.U64(stats_.data_reads);
-  w.U64(stats_.data_writes);
-  w.U64(stats_.parity_errors);
-  w.U64(stats_.words_corrupted);
-  w.U64(stats_.words_scrubbed);
+template <typename Self, typename Io>
+Status Mram::TransferState(Self& self, Io& io) {
+  io.Bool(self.parity_enabled_);
+  io.U64(self.generation_);
+  const auto segments = {&self.code_,        &self.data_,        &self.code_shadow_,
+                         &self.data_shadow_, &self.code_parity_, &self.data_parity_};
+  if constexpr (Io::kReading) {
+    // Read every segment before replacing any: a geometry mismatch leaves
+    // the arrays as they were.
+    std::array<std::vector<uint8_t>, 6> saved;
+    for (std::vector<uint8_t>& bytes : saved) {
+      io.Bytes(bytes);
+    }
+    MSIM_RETURN_IF_ERROR(io.ToStatus("mram segments"));
+    auto bytes = saved.begin();
+    for (const auto* segment : segments) {
+      if ((bytes++)->size() != segment->size()) {
+        return InvalidArgument("snapshot MRAM geometry differs from this build");
+      }
+    }
+    bytes = saved.begin();
+    for (auto* segment : segments) {
+      *segment = std::move(*bytes++);
+    }
+  } else {
+    for (const auto* segment : segments) {
+      io.Bytes(*segment);
+    }
+  }
+  auto& stats = self.stats_;
+  for (auto* counter : {&stats.code_fetches, &stats.data_reads, &stats.data_writes,
+                        &stats.parity_errors, &stats.words_corrupted, &stats.words_scrubbed}) {
+    io.U64(*counter);
+  }
+  return io.ToStatus("mram stats");
 }
 
-Status Mram::RestoreState(SnapReader& r) {
-  parity_enabled_ = r.Bool();
-  generation_ = r.U64();
-  std::vector<uint8_t> code = r.Bytes();
-  std::vector<uint8_t> data = r.Bytes();
-  std::vector<uint8_t> code_shadow = r.Bytes();
-  std::vector<uint8_t> data_shadow = r.Bytes();
-  std::vector<uint8_t> code_parity = r.Bytes();
-  std::vector<uint8_t> data_parity = r.Bytes();
-  MSIM_RETURN_IF_ERROR(r.ToStatus("mram segments"));
-  if (code.size() != code_.size() || data.size() != data_.size() ||
-      code_shadow.size() != code_shadow_.size() || data_shadow.size() != data_shadow_.size() ||
-      code_parity.size() != code_parity_.size() || data_parity.size() != data_parity_.size()) {
-    return InvalidArgument("snapshot MRAM geometry differs from this build");
-  }
-  code_ = std::move(code);
-  data_ = std::move(data);
-  code_shadow_ = std::move(code_shadow);
-  data_shadow_ = std::move(data_shadow);
-  code_parity_ = std::move(code_parity);
-  data_parity_ = std::move(data_parity);
-  stats_.code_fetches = r.U64();
-  stats_.data_reads = r.U64();
-  stats_.data_writes = r.U64();
-  stats_.parity_errors = r.U64();
-  stats_.words_corrupted = r.U64();
-  stats_.words_scrubbed = r.U64();
-  return r.ToStatus("mram stats");
-}
+void Mram::SaveState(SnapWriter& w) const { TransferState(*this, w); }
+
+Status Mram::RestoreState(SnapReader& r) { return TransferState(*this, r); }
 
 }  // namespace msim

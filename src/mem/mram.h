@@ -117,6 +117,10 @@ class Mram {
   void SetTracer(Tracer* tracer) { tracer_ = tracer; }
 
  private:
+  // The one field list behind SaveState and RestoreState (snap/snapstream.h).
+  template <typename Self, typename Io>
+  static Status TransferState(Self& self, Io& io);
+
   uint32_t LoadWord(const std::vector<uint8_t>& segment, uint32_t offset) const;
   void StoreWord(std::vector<uint8_t>& segment, uint32_t offset, uint32_t word);
 

@@ -111,37 +111,31 @@ uint32_t Tlb::ValidCount() const {
   return count;
 }
 
-void Tlb::SaveState(SnapWriter& w) const {
-  w.U32(capacity());
-  for (const TlbEntry& entry : entries_) {
-    w.Bool(entry.valid);
-    w.U32(entry.vpn);
-    w.U16(entry.asid);
-    w.U32(entry.pte);
+template <typename Self, typename Io>
+Status Tlb::TransferState(Self& self, Io& io) {
+  uint32_t capacity = self.capacity();
+  io.U32(capacity);
+  MSIM_RETURN_IF_ERROR(io.ToStatus("tlb header"));
+  if constexpr (Io::kReading) {
+    if (capacity != self.capacity()) {
+      return InvalidArgument("snapshot TLB capacity differs from this configuration");
+    }
   }
-  w.U32(next_victim_);
-  w.U64(stats_.hits);
-  w.U64(stats_.misses);
-  w.U64(stats_.insertions);
+  for (auto& entry : self.entries_) {
+    io.Bool(entry.valid);
+    io.U32(entry.vpn);
+    io.U16(entry.asid);
+    io.U32(entry.pte);
+  }
+  io.U32(self.next_victim_);
+  io.U64(self.stats_.hits);
+  io.U64(self.stats_.misses);
+  io.U64(self.stats_.insertions);
+  return io.ToStatus("tlb entries");
 }
 
-Status Tlb::RestoreState(SnapReader& r) {
-  const uint32_t saved_capacity = r.U32();
-  MSIM_RETURN_IF_ERROR(r.ToStatus("tlb header"));
-  if (saved_capacity != capacity()) {
-    return InvalidArgument("snapshot TLB capacity differs from this configuration");
-  }
-  for (TlbEntry& entry : entries_) {
-    entry.valid = r.Bool();
-    entry.vpn = r.U32();
-    entry.asid = r.U16();
-    entry.pte = r.U32();
-  }
-  next_victim_ = r.U32();
-  stats_.hits = r.U64();
-  stats_.misses = r.U64();
-  stats_.insertions = r.U64();
-  return r.ToStatus("tlb entries");
-}
+void Tlb::SaveState(SnapWriter& w) const { TransferState(*this, w); }
+
+Status Tlb::RestoreState(SnapReader& r) { return TransferState(*this, r); }
 
 }  // namespace msim

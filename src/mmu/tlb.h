@@ -124,6 +124,10 @@ class Tlb {
   }
 
  private:
+  // The one field list behind SaveState and RestoreState (snap/snapstream.h).
+  template <typename Self, typename Io>
+  static Status TransferState(Self& self, Io& io);
+
   bool Matches(const TlbEntry& entry, uint32_t vaddr, uint16_t asid) const;
 
   std::vector<TlbEntry> entries_;

@@ -99,73 +99,59 @@ Result<RunResult> ReplayLog::Replay(MetalSystem& system, uint64_t max_cycles) {
   return result;
 }
 
-void ReplayLog::Save(SnapWriter& w) const {
-  const char magic[8] = {'M', 'S', 'I', 'M', 'R', 'P', 'L', 'Y'};
-  for (char c : magic) {
-    w.U8(static_cast<uint8_t>(c));
-  }
-  w.U32(kReplayLogVersion);
-  w.U64(static_cast<uint64_t>(events_.size()));
-  for (const Event& event : events_) {
-    w.U8(static_cast<uint8_t>(event.kind));
-    w.U64(event.cycle);
-    switch (event.kind) {
-      case Kind::kNicPacket:
-        w.Bytes(event.payload);
-        break;
-      case Kind::kStmRemoteCommit:
-        w.U32(event.clock_addr);
-        w.U32(event.vtbl_addr);
-        w.U32(event.vtbl_words);
-        w.U32(event.addr);
-        w.U32(event.value);
-        break;
-    }
-  }
-}
-
-Status ReplayLog::Restore(SnapReader& r) {
-  const char magic[8] = {'M', 'S', 'I', 'M', 'R', 'P', 'L', 'Y'};
-  for (char c : magic) {
-    if (static_cast<char>(r.U8()) != c) {
+template <typename Self, typename Io>
+Status ReplayLog::TransferState(Self& self, Io& io) {
+  for (const char c : {'M', 'S', 'I', 'M', 'R', 'P', 'L', 'Y'}) {
+    uint8_t byte = static_cast<uint8_t>(c);
+    io.U8(byte);
+    if (byte != static_cast<uint8_t>(c)) {
       return FailedPrecondition("not an msim replay log (bad magic)");
     }
   }
-  const uint32_t version = r.U32();
-  MSIM_RETURN_IF_ERROR(r.ToStatus("replay log header"));
+  uint32_t version = kReplayLogVersion;
+  io.U32(version);
+  MSIM_RETURN_IF_ERROR(io.ToStatus("replay log header"));
   if (version != kReplayLogVersion) {
     return FailedPrecondition(StrFormat("replay log version %u not supported (expected %u)",
                                         version, kReplayLogVersion));
   }
-  const uint64_t count = r.U64();
-  MSIM_RETURN_IF_ERROR(r.ToStatus("replay log event count"));
-  events_.clear();
+  uint64_t count = self.events_.size();
+  io.U64(count);
+  MSIM_RETURN_IF_ERROR(io.ToStatus("replay log event count"));
+  if constexpr (Io::kReading) {
+    self.events_.clear();
+  }
   for (uint64_t i = 0; i < count; ++i) {
-    Event event;
-    const uint8_t kind = r.U8();
-    event.cycle = r.U64();
-    switch (kind) {
-      case static_cast<uint8_t>(Kind::kNicPacket):
-        event.kind = Kind::kNicPacket;
-        event.payload = r.Bytes();
+    if constexpr (Io::kReading) {
+      self.events_.emplace_back();
+    }
+    auto& event = self.events_[i];
+    io.U8As(event.kind);
+    io.U64(event.cycle);
+    switch (event.kind) {
+      case Kind::kNicPacket:
+        io.Bytes(event.payload);
         break;
-      case static_cast<uint8_t>(Kind::kStmRemoteCommit):
-        event.kind = Kind::kStmRemoteCommit;
-        event.clock_addr = r.U32();
-        event.vtbl_addr = r.U32();
-        event.vtbl_words = r.U32();
-        event.addr = r.U32();
-        event.value = r.U32();
+      case Kind::kStmRemoteCommit:
+        io.U32(event.clock_addr);
+        io.U32(event.vtbl_addr);
+        io.U32(event.vtbl_words);
+        io.U32(event.addr);
+        io.U32(event.value);
         break;
       default:
         return InvalidArgument(StrFormat("replay log event %llu has unknown kind %u",
-                                         static_cast<unsigned long long>(i), kind));
+                                         static_cast<unsigned long long>(i),
+                                         static_cast<unsigned>(event.kind)));
     }
-    MSIM_RETURN_IF_ERROR(r.ToStatus("replay log event"));
-    events_.push_back(std::move(event));
+    MSIM_RETURN_IF_ERROR(io.ToStatus("replay log event"));
   }
   return Status::Ok();
 }
+
+void ReplayLog::Save(SnapWriter& w) const { TransferState(*this, w); }
+
+Status ReplayLog::Restore(SnapReader& r) { return TransferState(*this, r); }
 
 Status ReplayLog::SaveFile(const std::string& path) const {
   SnapWriter w;

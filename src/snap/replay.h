@@ -70,6 +70,10 @@ class ReplayLog {
   Status LoadFile(const std::string& path);
 
  private:
+  // The one field list behind Save and Restore (snap/snapstream.h).
+  template <typename Self, typename Io>
+  static Status TransferState(Self& self, Io& io);
+
   std::vector<Event> events_;
 };
 

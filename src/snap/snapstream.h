@@ -9,7 +9,16 @@
 //     goes, and can run in digest-only mode (no buffering) so per-cycle state
 //     digests cost no allocation;
 //   * explicit failure: the reader never aborts — truncated or oversized
-//     input trips a sticky failure flag the caller converts into a Status.
+//     input trips a sticky failure flag the caller converts into a Status;
+//   * one field list per format: SnapReader's by-reference forms (`U32(v)`
+//     reads into `v`) mirror SnapWriter's by-value ones, and both offer
+//     U8As/U32As for enum and signed fields, StatusField, ToStatus (always
+//     OK on the writer) and a `kReading` constant. A component's wire
+//     format is then one `template <typename Self, typename Io> static
+//     Status TransferState(Self& self, Io& io)` that SaveState calls with
+//     (*this, writer) and RestoreState with (*this, reader); restore-only
+//     steps (geometry checks, plausibility bounds, rebuilding derived
+//     members) sit inside `if constexpr (Io::kReading)`.
 // No endianness, padding or struct-layout assumptions leak into the format:
 // every field is written value-by-value.
 #ifndef MSIM_SNAP_SNAPSTREAM_H_
@@ -31,6 +40,7 @@ inline constexpr uint64_t kFnvPrime = 1099511628211ull;
 class SnapWriter {
  public:
   enum class Mode { kBuffer, kDigestOnly };
+  static constexpr bool kReading = false;
 
   explicit SnapWriter(Mode mode = Mode::kBuffer) : mode_(mode) {}
 
@@ -64,6 +74,22 @@ class SnapWriter {
   void Str(std::string_view text) {
     Bytes(reinterpret_cast<const uint8_t*>(text.data()), text.size());
   }
+  // Enum and signed fields, stored as their unsigned bit pattern.
+  template <typename T>
+  void U8As(T v) {
+    U8(static_cast<uint8_t>(v));
+  }
+  template <typename T>
+  void U32As(T v) {
+    U32(static_cast<uint32_t>(v));
+  }
+  // A Status as (code, message).
+  void StatusField(const Status& status) {
+    U32As(status.code());
+    Str(status.message());
+  }
+  // The writer cannot fail; the mirror of SnapReader::ToStatus.
+  Status ToStatus(const char*) const { return Status::Ok(); }
 
   const std::vector<uint8_t>& bytes() const { return buffer_; }
   std::vector<uint8_t> TakeBytes() { return std::move(buffer_); }
@@ -89,6 +115,8 @@ class SnapWriter {
 
 class SnapReader {
  public:
+  static constexpr bool kReading = true;
+
   SnapReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
   explicit SnapReader(const std::vector<uint8_t>& data)
       : SnapReader(data.data(), data.size()) {}
@@ -142,6 +170,31 @@ class SnapReader {
     return std::string(bytes.begin(), bytes.end());
   }
 
+  // By-reference forms: the mirror of the writer's, so one field list can
+  // drive both directions.
+  void U8(uint8_t& v) { v = U8(); }
+  void U16(uint16_t& v) { v = U16(); }
+  void U32(uint32_t& v) { v = U32(); }
+  void U64(uint64_t& v) { v = U64(); }
+  void Bool(bool& v) { v = Bool(); }
+  void Bytes(std::vector<uint8_t>& v) { v = Bytes(); }
+  void Str(std::string& v) { v = Str(); }
+  template <typename T>
+  void U8As(T& v) {
+    v = static_cast<T>(U8());
+  }
+  template <typename T>
+  void U32As(T& v) {
+    v = static_cast<T>(U32());
+  }
+  // Rebuilds a Status from (code, message); a zero code is Ok.
+  void StatusField(Status& status) {
+    const uint32_t code = U32();
+    std::string message = Str();
+    status = code == 0 || !ok_ ? Status::Ok()
+                               : Status(static_cast<ErrorCode>(code), std::move(message));
+  }
+
   // Converts the sticky failure flag into a Status, naming the consumer.
   Status ToStatus(const char* what) const {
     if (ok_) {
@@ -167,6 +220,18 @@ class SnapReader {
   size_t pos_ = 0;
   bool ok_ = true;
 };
+
+// Saves or restores `component` through its own SaveState/RestoreState, in
+// the direction of `io`: how a field list embeds a nested component.
+template <typename Io, typename Component>
+Status TransferComponent(Io& io, Component& component) {
+  if constexpr (Io::kReading) {
+    return component.RestoreState(io);
+  } else {
+    component.SaveState(io);
+    return Status::Ok();
+  }
+}
 
 }  // namespace msim
 

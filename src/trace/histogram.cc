@@ -117,25 +117,19 @@ void Histogram::AppendJson(JsonWriter& json) const {
   json.EndArray();
 }
 
-void Histogram::SaveState(SnapWriter& w) const {
-  for (const uint64_t bucket : buckets_) {
-    w.U64(bucket);
+template <typename Self, typename Io>
+Status Histogram::TransferState(Self& self, Io& io) {
+  for (auto& bucket : self.buckets_) {
+    io.U64(bucket);
   }
-  w.U64(count_);
-  w.U64(sum_);
-  w.U64(min_);
-  w.U64(max_);
+  for (auto* field : {&self.count_, &self.sum_, &self.min_, &self.max_}) {
+    io.U64(*field);
+  }
+  return io.ToStatus("histogram");
 }
 
-Status Histogram::RestoreState(SnapReader& r) {
-  for (uint64_t& bucket : buckets_) {
-    bucket = r.U64();
-  }
-  count_ = r.U64();
-  sum_ = r.U64();
-  min_ = r.U64();
-  max_ = r.U64();
-  return r.ToStatus("histogram");
-}
+void Histogram::SaveState(SnapWriter& w) const { TransferState(*this, w); }
+
+Status Histogram::RestoreState(SnapReader& r) { return TransferState(*this, r); }
 
 }  // namespace msim

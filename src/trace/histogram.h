@@ -65,6 +65,10 @@ class Histogram {
   Status RestoreState(SnapReader& r);
 
  private:
+  // The one field list behind SaveState and RestoreState (snap/snapstream.h).
+  template <typename Self, typename Io>
+  static Status TransferState(Self& self, Io& io);
+
   std::array<uint64_t, kNumBuckets> buckets_{};
   uint64_t count_ = 0;
   uint64_t sum_ = 0;

@@ -268,102 +268,86 @@ void SpanSink::AppendProfileJson(JsonWriter& json, uint64_t total_cycles) const 
 }
 
 namespace {
-void SaveSpan(SnapWriter& w, const Span& span) {
-  w.U64(span.id);
-  w.U64(span.parent);
-  w.U64(span.cause);
-  w.U8(static_cast<uint8_t>(span.cls));
-  w.U32(span.code);
-  w.U32(span.entry);
-  w.U64(span.begin_cycle);
-  w.U64(span.end_cycle);
-  w.Bool(span.closed);
-  w.Bool(span.aborted);
+template <typename Io, typename SpanT>
+void TransferSpan(Io& io, SpanT& span) {
+  io.U64(span.id);
+  io.U64(span.parent);
+  io.U64(span.cause);
+  io.U8As(span.cls);
+  if constexpr (Io::kReading) {
+    span.cls = static_cast<SpanClass>(static_cast<uint8_t>(span.cls) %
+                                      static_cast<uint8_t>(SpanClass::kCount));
+  }
+  io.U32(span.code);
+  io.U32(span.entry);
+  io.U64(span.begin_cycle);
+  io.U64(span.end_cycle);
+  io.Bool(span.closed);
+  io.Bool(span.aborted);
 }
 
-Span RestoreSpan(SnapReader& r) {
-  Span span;
-  span.id = r.U64();
-  span.parent = r.U64();
-  span.cause = r.U64();
-  span.cls = static_cast<SpanClass>(r.U8() % static_cast<uint8_t>(SpanClass::kCount));
-  span.code = r.U32();
-  span.entry = r.U32();
-  span.begin_cycle = r.U64();
-  span.end_cycle = r.U64();
-  span.closed = r.Bool();
-  span.aborted = r.Bool();
-  return span;
-}
-
-// Bytes SaveSpan writes per span.
+// Bytes TransferSpan writes per span.
 constexpr uint64_t kSavedSpanBytes = 51;
 }  // namespace
 
-void SpanSink::SaveState(SnapWriter& w) const {
-  w.U64(next_id_);
-  w.U64(opened_);
-  w.U64(closed_);
-  w.U64(aborted_);
-  w.U64(retained_dropped_);
-  w.U64(watchdog_budget_);
-  w.U64(static_cast<uint64_t>(open_.size()));
-  for (const Span& span : open_) {
-    SaveSpan(w, span);
+template <typename Self, typename Io>
+Status SpanSink::TransferState(Self& self, Io& io) {
+  for (auto* counter : {&self.next_id_, &self.opened_, &self.closed_, &self.aborted_,
+                        &self.retained_dropped_, &self.watchdog_budget_}) {
+    io.U64(*counter);
   }
-  for (const Histogram& h : trap_latency_) {
-    h.SaveState(w);
+  uint64_t open_count = self.open_.size();
+  io.U64(open_count);
+  if constexpr (Io::kReading) {
+    if (open_count > 1024) {
+      return InvalidArgument("span snapshot: implausible open-span depth");
+    }
+    self.open_.assign(open_count, Span{});
   }
-  interrupt_latency_.SaveState(w);
-  menter_latency_.SaveState(w);
-  machine_check_latency_.SaveState(w);
-  scrub_retry_latency_.SaveState(w);
-  watchdog_margin_.SaveState(w);
-  const std::vector<Span> done = Spans();
-  w.U64(static_cast<uint64_t>(done.size()));
-  for (const Span& span : done) {
-    SaveSpan(w, span);
+  for (auto& span : self.open_) {
+    TransferSpan(io, span);
   }
-}
-
-Status SpanSink::RestoreState(SnapReader& r) {
-  next_id_ = r.U64();
-  opened_ = r.U64();
-  closed_ = r.U64();
-  aborted_ = r.U64();
-  retained_dropped_ = r.U64();
-  watchdog_budget_ = r.U64();
-  const uint64_t open_count = r.U64();
-  if (open_count > 1024) {
-    return InvalidArgument("span snapshot: implausible open-span depth");
+  for (auto& histogram : self.trap_latency_) {
+    MSIM_RETURN_IF_ERROR(TransferComponent(io, histogram));
   }
-  open_.clear();
-  for (uint64_t i = 0; i < open_count; ++i) {
-    open_.push_back(RestoreSpan(r));
+  for (auto* histogram : {&self.interrupt_latency_, &self.menter_latency_,
+                          &self.machine_check_latency_, &self.scrub_retry_latency_,
+                          &self.watchdog_margin_}) {
+    MSIM_RETURN_IF_ERROR(TransferComponent(io, *histogram));
   }
-  for (Histogram& h : trap_latency_) {
-    MSIM_RETURN_IF_ERROR(h.RestoreState(r));
-  }
-  MSIM_RETURN_IF_ERROR(interrupt_latency_.RestoreState(r));
-  MSIM_RETURN_IF_ERROR(menter_latency_.RestoreState(r));
-  MSIM_RETURN_IF_ERROR(machine_check_latency_.RestoreState(r));
-  MSIM_RETURN_IF_ERROR(scrub_retry_latency_.RestoreState(r));
-  MSIM_RETURN_IF_ERROR(watchdog_margin_.RestoreState(r));
-  done_.clear();
-  done_next_ = 0;
-  const uint64_t done_count = r.AtEnd() ? 0 : r.U64();
-  if (done_count > r.remaining() / kSavedSpanBytes) {
-    return InvalidArgument("span snapshot: implausible retained-span count");
-  }
-  for (uint64_t i = 0; i < done_count; ++i) {
-    const Span span = RestoreSpan(r);
-    // Oldest first: a smaller ring keeps the newest `retain_` spans.
-    if (done_count - i <= retain_) {
-      done_.push_back(span);
+  // Retained completed spans, oldest first.
+  if constexpr (Io::kReading) {
+    self.done_.clear();
+    self.done_next_ = 0;
+    if (io.AtEnd()) {
+      return Status::Ok();  // the older format, without retained spans
+    }
+    uint64_t done_count = 0;
+    io.U64(done_count);
+    if (done_count > io.remaining() / kSavedSpanBytes) {
+      return InvalidArgument("span snapshot: implausible retained-span count");
+    }
+    for (uint64_t i = 0; i < done_count; ++i) {
+      Span span;
+      TransferSpan(io, span);
+      // Oldest first: a smaller ring keeps the newest `retain_` spans.
+      if (done_count - i <= self.retain_) {
+        self.done_.push_back(span);
+      }
+    }
+  } else {
+    const std::vector<Span> done = self.Spans();
+    io.U64(static_cast<uint64_t>(done.size()));
+    for (const Span& span : done) {
+      TransferSpan(io, span);
     }
   }
-  return r.ToStatus("span sink");
+  return io.ToStatus("span sink");
 }
+
+void SpanSink::SaveState(SnapWriter& w) const { TransferState(*this, w); }
+
+Status SpanSink::RestoreState(SnapReader& r) { return TransferState(*this, r); }
 
 void SpanSink::SaveProfileState(SnapWriter& w) const {
   for (const EntryProfile& row : rows_) {

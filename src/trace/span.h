@@ -160,6 +160,10 @@ class SpanSink : public TraceSink {
   Status RestoreProfileState(SnapReader& r);
 
  private:
+  // The one field list behind SaveState and RestoreState (snap/snapstream.h).
+  template <typename Self, typename Io>
+  static Status TransferState(Self& self, Io& io);
+
   void Open(SpanClass cls, uint32_t code, uint32_t entry, uint64_t cycle, uint64_t cause);
   void Close(uint64_t cycle, bool aborted);
   void Retain(const Span& span);

@@ -96,51 +96,62 @@ void RingBufferSink::AppendJson(JsonWriter& json) const {
   json.EndArray();
 }
 
-void RingBufferSink::SaveState(SnapWriter& w) const {
-  w.U64(static_cast<uint64_t>(capacity_));
-  w.U64(total_);
-  w.U64(dropped_);
-  const std::vector<TraceEvent> events = Events();
-  w.U64(static_cast<uint64_t>(events.size()));
-  for (const TraceEvent& event : events) {
-    w.U8(static_cast<uint8_t>(event.kind));
-    w.Bool(event.metal);
-    w.U64(event.cycle);
-    w.U32(event.pc);
-    w.U32(event.arg0);
-    w.U32(event.arg1);
+namespace {
+// One retained event: kind, metal, cycle, pc, arg0, arg1.
+template <typename Io, typename Event>
+void TransferEvent(Io& io, Event& event) {
+  io.U8As(event.kind);
+  if constexpr (Io::kReading) {
+    event.kind = static_cast<TraceEventKind>(static_cast<uint8_t>(event.kind) %
+                                             static_cast<uint8_t>(TraceEventKind::kCount));
   }
+  io.Bool(event.metal);
+  io.U64(event.cycle);
+  io.U32(event.pc);
+  io.U32(event.arg0);
+  io.U32(event.arg1);
+}
+}  // namespace
+
+template <typename Self, typename Io>
+Status RingBufferSink::TransferState(Self& self, Io& io) {
+  // A filtered ring is a flight recorder, whose capacity --flight-events caps.
+  const bool flight = self.kinds_ != kAllKinds;
+  const char* what = flight ? "flight recorder" : "trace ring";
+  uint64_t capacity = self.capacity_;
+  io.U64(capacity);
+  if constexpr (Io::kReading) {
+    if (capacity == 0 || capacity > (flight ? kMaxFlightCapacity : uint64_t{1} << 24)) {
+      return InvalidArgument(StrFormat("%s snapshot: implausible capacity", what));
+    }
+    self.capacity_ = static_cast<size_t>(capacity);
+  }
+  io.U64(self.total_);
+  io.U64(self.dropped_);
+  std::vector<TraceEvent> events;
+  if constexpr (!Io::kReading) {
+    events = self.Events();
+  }
+  uint64_t count = events.size();
+  io.U64(count);
+  if constexpr (Io::kReading) {
+    if (count > capacity) {
+      return InvalidArgument(StrFormat("%s snapshot: count exceeds capacity", what));
+    }
+    events.resize(count);
+  }
+  for (TraceEvent& event : events) {
+    TransferEvent(io, event);
+  }
+  if constexpr (Io::kReading) {
+    self.buffer_ = std::move(events);
+    self.next_ = 0;
+  }
+  return io.ToStatus(what);
 }
 
-Status RingBufferSink::RestoreState(SnapReader& r) {
-  // A filtered ring is a flight recorder, whose capacity --flight-events caps.
-  const bool flight = kinds_ != kAllKinds;
-  const char* what = flight ? "flight recorder" : "trace ring";
-  const uint64_t capacity = r.U64();
-  if (capacity == 0 || capacity > (flight ? kMaxFlightCapacity : uint64_t{1} << 24)) {
-    return InvalidArgument(StrFormat("%s snapshot: implausible capacity", what));
-  }
-  capacity_ = static_cast<size_t>(capacity);
-  total_ = r.U64();
-  dropped_ = r.U64();
-  const uint64_t count = r.U64();
-  if (count > capacity) {
-    return InvalidArgument(StrFormat("%s snapshot: count exceeds capacity", what));
-  }
-  buffer_.clear();
-  next_ = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    TraceEvent event;
-    event.kind = static_cast<TraceEventKind>(r.U8() %
-                                             static_cast<uint8_t>(TraceEventKind::kCount));
-    event.metal = r.Bool();
-    event.cycle = r.U64();
-    event.pc = r.U32();
-    event.arg0 = r.U32();
-    event.arg1 = r.U32();
-    buffer_.push_back(event);
-  }
-  return r.ToStatus(what);
-}
+void RingBufferSink::SaveState(SnapWriter& w) const { TransferState(*this, w); }
+
+Status RingBufferSink::RestoreState(SnapReader& r) { return TransferState(*this, r); }
 
 }  // namespace msim

@@ -100,6 +100,10 @@ class RingBufferSink : public TraceSink {
   Status RestoreState(SnapReader& r);
 
  private:
+  // The one field list behind SaveState and RestoreState (snap/snapstream.h).
+  template <typename Self, typename Io>
+  static Status TransferState(Self& self, Io& io);
+
   std::vector<TraceEvent> buffer_;
   size_t capacity_;
   uint32_t kinds_;

@@ -256,6 +256,20 @@ TEST(MsimCliTest, RunAndReplayRejectTheSameMalformedMachineFlags) {
     EXPECT_EQ(RunMsim(std::string("replay missing.s --until-divergence ") + flags),
               kExitUsage);
   }
+  // mcamp shares the machine-flag parser: same exit status, same message.
+  for (const char* flags : {"--watchdog x", "--storage bogus"}) {
+    SCOPED_TRACE(flags);
+    std::string msim_err;
+    std::string mcamp_err;
+    EXPECT_EQ(RunCapturingStderr(std::string(MSIM_CLI_PATH) + " run missing.s " + flags,
+                                 &msim_err),
+              kExitUsage);
+    EXPECT_EQ(RunCapturingStderr(std::string(MCAMP_CLI_PATH) + " run missing.s " + flags,
+                                 &mcamp_err),
+              kExitUsage);
+    EXPECT_FALSE(msim_err.empty());
+    EXPECT_EQ(mcamp_err, msim_err);
+  }
 }
 
 TEST(MsimCliTest, TraceFlagPrintsFirstRetiresToStderr) {

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cpu/config.h"
 #include "support/result.h"
@@ -44,6 +45,41 @@ inline bool ParseStorageMode(const std::string& mode, MroutineStorage* out) {
     return false;
   }
   return true;
+}
+
+enum class FlagParse { kConsumed, kNotMine, kError };
+
+// Consumes args[*i] (and its value, advancing *i) when it is one of the
+// machine flags msim and mcamp share: --mcode, --storage, --no-fast,
+// --no-fast-step, --no-parity and --watchdog. kError means a malformed value,
+// already reported; exit 2.
+inline FlagParse ParseCommonMachineFlag(const std::vector<std::string>& args, size_t* i,
+                                        CoreConfig* config,
+                                        std::vector<std::string>* mcode_paths) {
+  const std::string& arg = args[*i];
+  const bool has_value = *i + 1 < args.size();
+  if (arg == "--mcode" && has_value) {
+    mcode_paths->push_back(args[++*i]);
+  } else if (arg == "--storage" && has_value) {
+    const std::string& mode = args[++*i];
+    if (!ParseStorageMode(mode, &config->mroutine_storage)) {
+      std::fprintf(stderr, "unknown storage mode '%s'\n", mode.c_str());
+      return FlagParse::kError;
+    }
+  } else if (arg == "--no-fast") {
+    config->fast_transition = false;
+  } else if (arg == "--no-fast-step") {
+    config->fast_step = false;
+  } else if (arg == "--no-parity") {
+    config->mram_parity = false;
+  } else if (arg == "--watchdog" && has_value) {
+    if (!ParseU64Flag("--watchdog", args[++*i], &config->metal_watchdog_cycles)) {
+      return FlagParse::kError;
+    }
+  } else {
+    return FlagParse::kNotMine;
+  }
+  return FlagParse::kConsumed;
 }
 
 inline Result<std::string> ReadFile(const std::string& path) {

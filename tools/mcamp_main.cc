@@ -89,10 +89,15 @@ int CmdRun(const std::vector<std::string>& args) {
   std::string campaign_json_path;
 
   for (size_t i = 0; i < args.size(); ++i) {
+    const FlagParse common = ParseCommonMachineFlag(args, &i, &config, &mcode_paths);
+    if (common == FlagParse::kError) {
+      return kExitUsage;
+    }
+    if (common == FlagParse::kConsumed) {
+      continue;
+    }
     const std::string& arg = args[i];
-    if (arg == "--mcode" && i + 1 < args.size()) {
-      mcode_paths.push_back(args[++i]);
-    } else if (arg == "--mcheck-entry" && i + 1 < args.size()) {
+    if (arg == "--mcheck-entry" && i + 1 < args.size()) {
       uint64_t entry = 0;
       if (!ParseU64Flag("--mcheck-entry", args[++i], &entry)) {
         return kExitUsage;
@@ -103,22 +108,6 @@ int CmdRun(const std::vector<std::string>& args) {
         return kExitUsage;
       }
       mcheck_entry = static_cast<int64_t>(entry);
-    } else if (arg == "--storage" && i + 1 < args.size()) {
-      const std::string& mode = args[++i];
-      if (!ParseStorageMode(mode, &config.mroutine_storage)) {
-        std::fprintf(stderr, "unknown storage mode '%s'\n", mode.c_str());
-        return kExitUsage;
-      }
-    } else if (arg == "--no-fast") {
-      config.fast_transition = false;
-    } else if (arg == "--no-fast-step") {
-      config.fast_step = false;
-    } else if (arg == "--no-parity") {
-      config.mram_parity = false;
-    } else if (arg == "--watchdog" && i + 1 < args.size()) {
-      if (!ParseU64Flag("--watchdog", args[++i], &config.metal_watchdog_cycles)) {
-        return kExitUsage;
-      }
     } else if (arg == "--target" && i + 1 < args.size()) {
       FaultTarget target;
       const std::string& name = args[++i];

@@ -70,6 +70,7 @@
 #include <cctype>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -130,27 +131,18 @@ struct MachineFlags {
   uint64_t fault_seed = 0;
 };
 
-enum class FlagParse { kConsumed, kNotMine, kError };
-
 // Consumes args[*i] (and its value, advancing *i) when it is a shared machine
-// flag. kError means a malformed value, already reported; exit 2.
+// flag: the common ones (cli_util.h) plus --max-cycles, --inject and
+// --fault-seed. kError means a malformed value, already reported; exit 2.
 FlagParse ParseMachineFlag(const std::vector<std::string>& args, size_t* i,
                            MachineFlags* out) {
+  const FlagParse common = ParseCommonMachineFlag(args, i, &out->config, &out->mcode_paths);
+  if (common != FlagParse::kNotMine) {
+    return common;
+  }
   const std::string& arg = args[*i];
   const bool has_value = *i + 1 < args.size();
-  if (arg == "--mcode" && has_value) {
-    out->mcode_paths.push_back(args[++*i]);
-  } else if (arg == "--storage" && has_value) {
-    const std::string& mode = args[++*i];
-    if (!ParseStorageMode(mode, &out->config.mroutine_storage)) {
-      std::fprintf(stderr, "unknown storage mode '%s'\n", mode.c_str());
-      return FlagParse::kError;
-    }
-  } else if (arg == "--no-fast") {
-    out->config.fast_transition = false;
-  } else if (arg == "--no-fast-step") {
-    out->config.fast_step = false;
-  } else if (arg == "--max-cycles" && has_value) {
+  if (arg == "--max-cycles" && has_value) {
     if (!ParseU64Flag("--max-cycles", args[++*i], &out->max_cycles)) {
       return FlagParse::kError;
     }
@@ -160,12 +152,6 @@ FlagParse ParseMachineFlag(const std::vector<std::string>& args, size_t* i,
     if (!ParseU64Flag("--fault-seed", args[++*i], &out->fault_seed)) {
       return FlagParse::kError;
     }
-  } else if (arg == "--watchdog" && has_value) {
-    if (!ParseU64Flag("--watchdog", args[++*i], &out->config.metal_watchdog_cycles)) {
-      return FlagParse::kError;
-    }
-  } else if (arg == "--no-parity") {
-    out->config.mram_parity = false;
   } else {
     return FlagParse::kNotMine;
   }
@@ -486,6 +472,37 @@ int CmdRun(const std::vector<std::string>& args) {
     spans.RegisterMetrics(system.metrics());
   }
 
+  // The checkpoint extras sections, in file order: name, whether this run
+  // writes it, how to save and restore it, and the exit code for a payload
+  // that does not restore. A restore reads every known section, written by
+  // this configuration or not. "superblocks" is always written: a restored
+  // run must report the same --stats-json superblock counters (and rebuild
+  // the same trace cache) as the straight run, in every stepping mode;
+  // restoring into a core with the tier disabled keeps the counters and
+  // drops the traces.
+  struct CheckpointSection {
+    const char* name;
+    bool written;
+    std::function<void(SnapWriter&)> save;
+    std::function<Status(SnapReader&)> restore;
+    int bad_payload_exit;
+  };
+  const CheckpointSection checkpoint_sections[] = {
+      {"fault", fault_engine.num_specs() != 0,
+       [&](SnapWriter& w) { fault_engine.SaveState(w); },
+       [&](SnapReader& r) { return fault_engine.RestoreState(r); }, 2},
+      {"profiler", want_profile, [&](SnapWriter& w) { spans.SaveProfileState(w); },
+       [&](SnapReader& r) { return spans.RestoreProfileState(r); }, 1},
+      {"spans", want_spans, [&](SnapWriter& w) { spans.SaveState(w); },
+       [&](SnapReader& r) { return spans.RestoreState(r); }, 1},
+      {"flight", want_flight, [&](SnapWriter& w) { flight.SaveState(w); },
+       [&](SnapReader& r) { return flight.RestoreState(r); }, 1},
+      {"ring", want_ring, [&](SnapWriter& w) { ring.SaveState(w); },
+       [&](SnapReader& r) { return ring.RestoreState(r); }, 1},
+      {"superblocks", true, [&](SnapWriter& w) { system.core().superblocks().SaveState(w); },
+       [&](SnapReader& r) { return system.core().superblocks().RestoreState(r); }, 1},
+  };
+
   // Restore replaces the freshly-booted machine state wholesale, so boot
   // explicitly first — MetalSystem::Run() would otherwise auto-boot on top of
   // the restored image.
@@ -506,42 +523,14 @@ int CmdRun(const std::vector<std::string>& args) {
                  : 1;
     }
     for (const SnapshotSection& section : extras) {
-      if (section.name == "fault") {
-        SnapReader reader(section.payload);
-        if (Status status = fault_engine.RestoreState(reader); !status.ok()) {
-          std::fprintf(stderr, "%s\n", status.ToString().c_str());
-          return 2;
+      for (const CheckpointSection& known : checkpoint_sections) {
+        if (section.name != known.name) {
+          continue;
         }
-      } else if (section.name == "profiler") {
         SnapReader reader(section.payload);
-        if (Status status = spans.RestoreProfileState(reader); !status.ok()) {
+        if (Status status = known.restore(reader); !status.ok()) {
           std::fprintf(stderr, "%s\n", status.ToString().c_str());
-          return 1;
-        }
-      } else if (section.name == "spans") {
-        SnapReader reader(section.payload);
-        if (Status status = spans.RestoreState(reader); !status.ok()) {
-          std::fprintf(stderr, "%s\n", status.ToString().c_str());
-          return 1;
-        }
-      } else if (section.name == "flight") {
-        SnapReader reader(section.payload);
-        if (Status status = flight.RestoreState(reader); !status.ok()) {
-          std::fprintf(stderr, "%s\n", status.ToString().c_str());
-          return 1;
-        }
-      } else if (section.name == "ring") {
-        SnapReader reader(section.payload);
-        if (Status status = ring.RestoreState(reader); !status.ok()) {
-          std::fprintf(stderr, "%s\n", status.ToString().c_str());
-          return 1;
-        }
-      } else if (section.name == "superblocks") {
-        SnapReader reader(section.payload);
-        if (Status status = system.core().superblocks().RestoreState(reader);
-            !status.ok()) {
-          std::fprintf(stderr, "%s\n", status.ToString().c_str());
-          return 1;
+          return known.bad_payload_exit;
         }
       }
     }
@@ -575,39 +564,12 @@ int CmdRun(const std::vector<std::string>& args) {
   Core& core = system.core();
   const auto save_checkpoint = [&]() -> Status {
     std::vector<SnapshotSection> extras;
-    if (fault_engine.num_specs() != 0) {
-      SnapWriter writer;
-      fault_engine.SaveState(writer);
-      extras.push_back({"fault", writer.TakeBytes()});
-    }
-    if (want_profile) {
-      SnapWriter writer;
-      spans.SaveProfileState(writer);
-      extras.push_back({"profiler", writer.TakeBytes()});
-    }
-    if (want_spans) {
-      SnapWriter writer;
-      spans.SaveState(writer);
-      extras.push_back({"spans", writer.TakeBytes()});
-    }
-    if (want_flight) {
-      SnapWriter writer;
-      flight.SaveState(writer);
-      extras.push_back({"flight", writer.TakeBytes()});
-    }
-    if (want_ring) {
-      SnapWriter writer;
-      ring.SaveState(writer);
-      extras.push_back({"ring", writer.TakeBytes()});
-    }
-    {
-      // Always present: a restored run must report the same --stats-json
-      // superblock counters (and rebuild the same trace cache) as the
-      // straight run, in every stepping mode. Restoring into a core with the
-      // tier disabled keeps the counters and drops the traces.
-      SnapWriter writer;
-      core.superblocks().SaveState(writer);
-      extras.push_back({"superblocks", writer.TakeBytes()});
+    for (const CheckpointSection& section : checkpoint_sections) {
+      if (section.written) {
+        SnapWriter writer;
+        section.save(writer);
+        extras.push_back({section.name, writer.TakeBytes()});
+      }
     }
     const std::string path = StrFormat("%s/checkpoint-%llu.msnap", checkpoint_dir.c_str(),
                                        (unsigned long long)core.cycle());
